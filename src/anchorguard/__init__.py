@@ -32,7 +32,6 @@ from .deployment import (
 from .detection import (
     DetectionReport,
     GroupCheckResult,
-    NoNeighborGroup,
     SuspectRecord,
     group_check,
     isolate_suspects,
@@ -69,7 +68,6 @@ from .mahalanobis import (
     covariance,
     distance_to_centroid,
     invert,
-    pairwise_distance,
 )
 from .ranging import RangingModel, measure, true_distance
 
@@ -92,7 +90,6 @@ __all__ = [
     "MahalanobisScore",
     "MetricsRecord",
     "Network",
-    "NoNeighborGroup",
     "ParseError",
     "Point2",
     "RangingModel",
@@ -119,7 +116,6 @@ __all__ = [
     "isolate_suspects",
     "measure",
     "neighbor_groups",
-    "pairwise_distance",
     "parse_network",
     "parse_scenario",
     "quarantine",

@@ -15,8 +15,6 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .attack import AttackSpec, UniformRadial, compromise
 from .deployment import DeploymentFailure, deploy, parse_network, serialize_network
 from .detection import run_detection
@@ -30,6 +28,7 @@ from .harness import (
     parse_scenario,
     run_sweep,
     suspects_csv,
+    trial_streams,
     validate_config,
 )
 from .ranging import RangingModel
@@ -104,15 +103,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_deploy(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load_config(args.scenario), args)
-    deploy_ss, attack_ss = np.random.SeedSequence(cfg.master_seed).spawn(2)
-    net = deploy(
-        (cfg.area_w, cfg.area_h),
-        cfg.n_nodes,
-        np.random.default_rng(deploy_ss),
-        cfg.comm_radius,
-    )
-    # The fixture carries the first sweep value's attack so a stored
-    # network gives `detect` something to find.
+    _, (deploy_rng, attack_rng, _, _) = trial_streams(cfg, 0)
+    net = deploy((cfg.area_w, cfg.area_h), cfg.n_nodes, deploy_rng, cfg.comm_radius)
+    # The fixture is trial 0 of `run` with the same scenario and seed,
+    # attacked with the first sweep value, so a stored network gives
+    # `detect` something to find and replays that trial.
     count = cfg.n_malicious[0]
     if count:
         net, _ = compromise(
@@ -121,7 +116,7 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
                 count=count,
                 displacement=UniformRadial(cfg.displacement_min, cfg.displacement_max),
             ),
-            np.random.default_rng(attack_ss),
+            attack_rng,
         )
     _write(args.out, serialize_network(net, seed=cfg.master_seed))
     if not args.quiet:
@@ -137,8 +132,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     with open(args.network, "r", encoding="utf-8") as fh:
         net = parse_network(fh.read())
     model = RangingModel(cfg.ranging, cfg.sigma)
-    rng = np.random.default_rng(cfg.master_seed)
-    report = run_detection(net, cfg.resolved_epsilon(), model, rng)
+    _, (_, _, detect_rng, _) = trial_streams(cfg, 0)
+    report = run_detection(net, cfg.resolved_epsilon(), model, detect_rng)
     _write(args.out, suspects_csv(report))
     if not args.quiet:
         flagged = ",".join(str(i) for i in sorted(report.flagged_ids)) or "none"

@@ -9,16 +9,16 @@ the new group's trilateration point, again guaranteeing a radio at the
 center.  Placement keeps repeating until the target count is reached;
 one or two leftover anchors are attached to their nearest group.
 
-At the end of placement the network records two reference tables that
-detection later replays:
+At the end of placement the network records ``m1``: per group, the
+position recovered by trilaterating the group's founding triple against
+its center distances.  Detection replays it.  It is computed from
+positions as advertised at deployment time, before any node has a
+chance to lie.
 
-* ``m1``: per group, the position recovered by trilaterating the
-  group's founding triple against its center distances.
-* ``m_cross``: per (anchor, neighbor group), the anchor's position as
-  recovered through that neighbor group's founding triple.
-
-Both tables are computed from positions as advertised at deployment
-time, before any node has a chance to lie.
+Cross references, an anchor's position as recovered through another
+group's founding triple, are derived on demand by ``cross_reference``
+from installation positions, which never change.  Stage 2 needs only
+the few that belong to members of failed groups.
 """
 
 from __future__ import annotations
@@ -116,7 +116,6 @@ class ReferenceTable:
     """Deployment-time localization records held by the central server."""
 
     m1: dict[int, Point2] = field(default_factory=dict)
-    m_cross: dict[tuple[int, int], Point2] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -232,7 +231,7 @@ def deploy(
         target_count: Total anchors to place; at least 4 so the initial
             trilateration point can host a node.
         rng: Source of randomness; placement is a pure function of it.
-        comm_radius: Group adjacency radius used for cross references.
+        comm_radius: Group adjacency radius used for neighbor groups.
 
     Raises:
         DeploymentFailure: when a constraint cannot be met within the
@@ -366,7 +365,7 @@ def neighbor_groups(net: Network, group_id: int) -> list[int]:
 
 
 def build_references(net: Network) -> ReferenceTable:
-    """Compute the deployment-time reference tables.
+    """Compute the deployment-time ``m1`` table.
 
     Uses advertised positions throughout; run this before any attack so
     the stored records describe the honest network.
@@ -384,22 +383,22 @@ def build_references(net: Network) -> ReferenceTable:
         except DegenerateGeometry as exc:
             raise DegenerateGeometry(f"group {g.id}: {exc}") from None
         m1[g.id] = fix.position
+    return ReferenceTable(m1=m1)
 
-    m_cross: dict[tuple[int, int], Point2] = {}
-    for g in net.groups:
-        for other_id in neighbor_groups(net, g.id):
-            other = net.group(other_id)
-            verifiers = [net.node(i) for i in other.founding_ids]
-            anchor_pts = [v.reported_pos for v in verifiers]
-            for member_id in g.member_ids:
-                member = net.node(member_id)
-                dists = [true_distance(v.true_pos, member.true_pos) for v in verifiers]
-                try:
-                    fix = trilaterate(anchor_pts, dists)
-                except DegenerateGeometry as exc:
-                    raise DegenerateGeometry(f"group {other_id}: {exc}") from None
-                m_cross[(member_id, other_id)] = fix.position
-    return ReferenceTable(m1=m1, m_cross=m_cross)
+
+def cross_reference(net: Network, member_id: int, group_id: int) -> Point2:
+    """Deployment-time fix of an anchor through a group's founding triple.
+
+    Reads installation positions only: ``true_pos`` never changes and
+    equals what every node advertised at deployment, so the result is
+    the record the server took before any attack, whatever the nodes
+    advertise now.  A degenerate triple cannot reach this point because
+    ``build_references`` already rejected it.
+    """
+    verifiers = [net.node(i) for i in net.group(group_id).founding_ids]
+    member = net.node(member_id)
+    dists = [true_distance(v.true_pos, member.true_pos) for v in verifiers]
+    return trilaterate([v.true_pos for v in verifiers], dists).position
 
 
 def serialize_network(net: Network, seed: int = 0) -> str:
@@ -435,12 +434,14 @@ def serialize_network(net: Network, seed: int = 0) -> str:
 def parse_network(text: str) -> Network:
     """Parse a fixture produced by ``serialize_network``.
 
-    Reference tables are rebuilt from the stored true positions, which
+    The ``m1`` table is rebuilt from the stored true positions, which
     reproduces the deployment-time records even when the fixture holds
     a network that was attacked after deployment.
 
     Raises:
-        ValueError: on any structural problem in the fixture.
+        ValueError: on any structural problem in the fixture, including
+            duplicate node ids and groups that name unknown nodes or
+            have fewer than three members.
     """
     raw = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in raw if ln and not ln.startswith("#")]
@@ -504,6 +505,18 @@ def parse_network(text: str) -> Network:
             )
         except ValueError as exc:
             raise ValueError(f"bad group line {ln!r}: {exc}") from None
+
+    known: set[int] = set()
+    for n in nodes:
+        if n.id in known:
+            raise ValueError(f"duplicate node id {n.id}")
+        known.add(n.id)
+    for g in groups:
+        if len(g.member_ids) < 3:
+            raise ValueError(f"group {g.id} has fewer than three members")
+        unknown = [i for i in g.member_ids if i not in known]
+        if unknown:
+            raise ValueError(f"group {g.id} names unknown node ids {unknown}")
 
     pristine = tuple(
         replace(n, reported_pos=n.true_pos, compromised=False) for n in nodes

@@ -13,13 +13,15 @@ measured distances to its co-members and to external centers at once.
 A group fails when the largest of these deviations exceeds epsilon.
 
 Stage 2 (``isolate_suspects``) re-localizes each member of a failed
-group individually through a neighbor group that passed stage 1, and
-compares the member's answer against the stored ``m_cross`` record.
-Honest members report the fresh fix and land back on their record;
-compromised members keep advertising their falsified coordinates and
-give themselves away by the full displacement.  The verifier side of
-the exchange also keeps its own physical fix of the member, which is
-where the system now believes the node really sits.
+group individually through the passing neighbor group with the
+sharpest geometry, and compares the member's answer against the
+member's deployment-time cross reference through that group, derived
+on demand by ``deployment.cross_reference``.  Honest members report
+the fresh fix and land back on their reference; compromised members
+keep advertising their falsified coordinates and give themselves away
+by the full displacement.  The verifier side of the exchange also
+keeps its own physical fix of the member, which is where the system
+now believes the node really sits.
 """
 
 from __future__ import annotations
@@ -30,17 +32,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .deployment import Network, ReferenceTable, neighbor_groups
+from .deployment import Network, cross_reference, neighbor_groups
 from .geometry import DegenerateGeometry, Point2, trilaterate
 from .ranging import RangingModel, measure, true_distance
 
 # Number of neighbor-group centers each member is range-guarded
 # against during stage 1, beyond its own group center.
 GUARD_CENTERS = 2
-
-
-class NoNeighborGroup(RuntimeError):
-    """Raised when a failed group has no usable verifier group."""
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,8 @@ class SuspectRecord:
             coordinates.
         localized_pos: The verifier side's physical fix of the member,
             computed from measured ranges alone.
-        reference_pos: The stored deployment-time cross record.
+        reference_pos: The deployment-time cross reference of the
+            member through the verifier group.
         deviation: Distance from observed_pos to reference_pos.
     """
 
@@ -198,35 +197,15 @@ def isolate_suspects(
     epsilon: float,
     model: RangingModel,
     rng: np.random.Generator,
-    verifier_group_id: int | None = None,
+    verifier_group_id: int,
 ) -> list[SuspectRecord]:
     """Re-localize every member of a failed group through a verifier.
 
-    When ``verifier_group_id`` is not given, neighbor groups are tried
-    sharpest geometry first and the first one that passes its own group
-    check is used; groups that fail their own check would contaminate
-    the verdict and are skipped.
-
-    Returns records only for members whose deviation exceeds epsilon.
-
-    Raises:
-        NoNeighborGroup: when no usable verifier group exists.
+    ``run_detection`` picks the verifier: the passing neighbor group
+    with the sharpest geometry.  Returns records only for members whose
+    deviation exceeds epsilon.
     """
     group = net.group(failed_group_id)
-    if verifier_group_id is None:
-        ranked = sorted(
-            neighbor_groups(net, failed_group_id),
-            key=lambda c: _verifier_quality(net, failed_group_id, c),
-            reverse=True,
-        )
-        for candidate in ranked:
-            if group_check(net, candidate, epsilon, model, rng).passed:
-                verifier_group_id = candidate
-                break
-        if verifier_group_id is None:
-            raise NoNeighborGroup(
-                f"group {failed_group_id} has no passing neighbor group"
-            )
     verifier = net.group(verifier_group_id)
     v_nodes = [net.node(i) for i in verifier.founding_ids]
     v_anchor_pts = [v.reported_pos for v in v_nodes]
@@ -242,7 +221,7 @@ def isolate_suspects(
         # Behavior model, not detector knowledge: an honest node relays
         # the fresh fix, a compromised one re-asserts its false claim.
         observed = node.reported_pos if node.compromised else fix.position
-        reference = net.references.m_cross[(member_id, verifier_group_id)]
+        reference = cross_reference(net, member_id, verifier_group_id)
         deviation = true_distance(observed, reference)
         if deviation > epsilon:
             records.append(
@@ -311,21 +290,21 @@ def run_detection(
 
 def relocalization_cloud(
     net: Network,
-    anchor_id: int,
+    reference: Point2,
     verifier_group_id: int,
     model: RangingModel,
     rng: np.random.Generator,
     samples: int = 64,
 ) -> list[Point2]:
-    """Simulated re-fixes of an anchor's stored reference position.
+    """Simulated re-fixes of an anchor's cross reference position.
 
     The central server knows the verifier group's initial positions,
-    the anchor's stored cross record, and the ranging noise model, so
-    it can replay the re-localization ``samples`` times to see how far
-    measurement noise alone scatters an honest answer.  The resulting
-    cloud is the reference set for Mahalanobis confirmation.
+    the anchor's cross reference through that group (a suspect's
+    ``reference_pos``), and the ranging noise model, so it can replay
+    the re-localization ``samples`` times to see how far measurement
+    noise alone scatters an honest answer.  The resulting cloud is the
+    reference set for Mahalanobis confirmation.
     """
-    reference = net.references.m_cross[(anchor_id, verifier_group_id)]
     verifier = net.group(verifier_group_id)
     v_nodes = [net.node(i) for i in verifier.founding_ids]
     v_pts = [v.true_pos for v in v_nodes]
@@ -341,10 +320,9 @@ def relocalization_cloud(
 def quarantine(net: Network, flagged_ids: frozenset[int] | set[int]) -> Network:
     """Remove flagged anchors from service.
 
-    Flagged nodes are dropped, their cross references are deleted, and
-    any group left with fewer than three members or with a hole in its
-    founding triple is marked inactive (it can no longer be re-checked
-    as built).
+    Flagged nodes are dropped, and any group left with fewer than three
+    members or with a hole in its founding triple is marked inactive
+    (it can no longer be re-checked as built).
     """
     flagged = set(flagged_ids)
     kept_nodes = tuple(n for n in net.nodes if n.id not in flagged)
@@ -354,10 +332,4 @@ def quarantine(net: Network, flagged_ids: frozenset[int] | set[int]) -> Network:
         founding_intact = all(i not in flagged for i in g.founding_ids)
         active = g.active and len(remaining) >= 3 and founding_intact
         new_groups.append(replace(g, member_ids=remaining, active=active))
-    m_cross = {
-        key: pos
-        for key, pos in net.references.m_cross.items()
-        if key[0] not in flagged
-    }
-    refs = ReferenceTable(m1=dict(net.references.m1), m_cross=m_cross)
-    return replace(net, nodes=kept_nodes, groups=tuple(new_groups), references=refs)
+    return replace(net, nodes=kept_nodes, groups=tuple(new_groups))

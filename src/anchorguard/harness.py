@@ -28,6 +28,7 @@ with ``trial`` set to -1.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -205,6 +206,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
+    for key in _FLOAT_KEYS:
+        value = getattr(cfg, key)
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(key, f"must be finite, got {value}")
     if cfg.area_w <= 0 or cfg.area_h <= 0:
         raise ValidationError("area", f"must be positive, got {cfg.area_w}x{cfg.area_h}")
     if cfg.n_nodes < 4:
@@ -279,14 +284,14 @@ def _confirm_suspects(
     """Second-opinion filter over the detector's suspects.
 
     Each suspect is scored against a cloud of simulated honest re-fixes
-    of its own stored reference.  A degenerate cloud means the
+    of its own cross reference.  A degenerate cloud means the
     references are unanimous (noise-free ranging); any suspect already
     past epsilon is then confirmed outright.
     """
     confirmed = set()
     for rec in report.suspects:
         cloud = relocalization_cloud(
-            net, rec.anchor_id, rec.verifier_group_id, model, rng, cloud_samples
+            net, rec.reference_pos, rec.verifier_group_id, model, rng, cloud_samples
         )
         try:
             scores = confirm_outliers([rec], cloud, rec.reference_pos, cutoff)

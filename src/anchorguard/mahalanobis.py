@@ -109,14 +109,6 @@ def distance_to_centroid(p: Point2, center: Point2, inv: CovarianceMatrix2) -> f
     return math.sqrt(q) if q > 0.0 else 0.0
 
 
-def pairwise_distance(p: Point2, q: Point2, inv: CovarianceMatrix2) -> float:
-    """Mahalanobis distance between two points under ``inv``."""
-    dx = p.x - q.x
-    dy = p.y - q.y
-    quad = inv.s11 * dx * dx + 2.0 * inv.s12 * dx * dy + inv.s22 * dy * dy
-    return math.sqrt(quad) if quad > 0.0 else 0.0
-
-
 def chi_square_cutoff(alpha: float = 0.05) -> float:
     """Distance cutoff with tail mass ``alpha`` under 2-d Gaussian noise.
 

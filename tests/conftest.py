@@ -19,8 +19,8 @@ from anchorguard.geometry import Point2
 def hand_network(groups_pts, comm_radius=150.0, area=(300.0, 300.0)):
     """Build a network from explicit (member positions, center) pairs.
 
-    Node ids run in placement order; reference tables are computed the
-    same way deployment computes them.
+    Node ids run in placement order; the m1 table is computed the
+    same way deployment computes it.
     """
     nodes = []
     groups = []

@@ -2,9 +2,10 @@
 
 import pytest
 
+import anchorguard.harness as harness
 from anchorguard.cli import main
-from anchorguard.deployment import parse_network
-from anchorguard.harness import CSV_HEADER
+from anchorguard.deployment import parse_network, serialize_network
+from anchorguard.harness import CSV_HEADER, parse_scenario, run_trial, suspects_csv
 
 SMALL_SCENARIO = """
 n_nodes = 10
@@ -124,6 +125,74 @@ def test_deploy_is_deterministic_per_seed(scenario_file, tmp_path):
     assert main(["deploy", "--scenario", scenario_file, "--out", str(a), "--seed", "9", "--quiet"]) == 0
     assert main(["deploy", "--scenario", scenario_file, "--out", str(b), "--seed", "9", "--quiet"]) == 0
     assert a.read_text() == b.read_text()
+
+
+def test_deploy_detect_replays_run_trial_zero(tmp_path, monkeypatch):
+    # `deploy --seed S` writes trial 0's attacked network of `run --seed S`,
+    # and `detect` over it repeats that trial's detection.
+    scenario = tmp_path / "noisy.txt"
+    scenario.write_text(SMALL_SCENARIO.replace("exact", "gaussian\nsigma = 0.5"))
+    fixture = tmp_path / "net.txt"
+    suspects = tmp_path / "suspects.csv"
+    args = ["--scenario", str(scenario), "--seed", "9", "--quiet"]
+    assert main(["deploy", *args, "--out", str(fixture)]) == 0
+    assert main(["detect", *args, "--network", str(fixture), "--out", str(suspects)]) == 0
+
+    seen = []
+    original = harness.run_detection
+
+    def capture(net, *rest):
+        report = original(net, *rest)
+        seen.append((net, report))
+        return report
+
+    monkeypatch.setattr(harness, "run_detection", capture)
+    cfg = parse_scenario(scenario.read_text() + "master_seed = 9\n")
+    run_trial(cfg, 0)
+    (net, report), = seen
+    assert fixture.read_text() == serialize_network(net, seed=9)
+    assert suspects.read_text() == suspects_csv(report)
+
+
+@pytest.mark.parametrize(
+    "flags, doc",
+    [
+        (["--epsilon", "nan"], ""),
+        (["--sigma", "inf"], ""),
+        ([], "comm_radius = nan\n"),
+        ([], "area_w = inf\n"),
+    ],
+    ids=["epsilon-flag", "sigma-flag", "comm_radius-doc", "area_w-doc"],
+)
+def test_run_rejects_non_finite_values(tmp_path, capsys, flags, doc):
+    path = tmp_path / "scenario.txt"
+    path.write_text(SMALL_SCENARIO + doc)
+    assert main(["run", "--scenario", str(path), "--quiet", *flags]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def _with_last_group_members(lines, members):
+    gid, _, rest = lines[-1].partition(",")
+    return lines[:-1] + [f"{gid},{members};{rest.partition(';')[2]}"]
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        # Header lines 0-5, then node 0 on line 6 and node 1 on line 7.
+        (lambda lines: lines[:7] + [lines[6]] + lines[8:], "duplicate node id 0"),
+        (lambda lines: _with_last_group_members(lines, "0 1 999"), "unknown node ids [999]"),
+        (lambda lines: _with_last_group_members(lines, "0 1"), "fewer than three members"),
+    ],
+    ids=["duplicate-id", "unknown-member", "short-group"],
+)
+def test_detect_rejects_inconsistent_fixture(scenario_file, tmp_path, capsys, mangle, message):
+    fixture = tmp_path / "net.txt"
+    assert main(["deploy", "--scenario", scenario_file, "--out", str(fixture), "--quiet"]) == 0
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(mangle(fixture.read_text().splitlines())) + "\n")
+    assert main(["detect", "--scenario", scenario_file, "--network", str(bad)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_detect_missing_network(scenario_file):

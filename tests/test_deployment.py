@@ -1,4 +1,4 @@
-"""Group placement, reference tables, neighbor graph, fixture format."""
+"""Group placement, reference records, neighbor graph, fixture format."""
 
 import math
 from dataclasses import replace
@@ -6,10 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from anchorguard.attack import AttackSpec, FixedOffset, SpecificIds, compromise
 from anchorguard.deployment import (
     DeploymentFailure,
     UnknownGroup,
     build_references,
+    cross_reference,
     deploy,
     neighbor_groups,
     parse_network,
@@ -107,20 +109,33 @@ def test_reference_tables_exact_on_honest_network(deployed_net):
     assert set(refs.m1) == {g.id for g in deployed_net.groups}
     for g in deployed_net.groups:
         assert true_distance(refs.m1[g.id], g.trilateration_point) < 1e-9
-    for (node_id, _gid), pos in refs.m_cross.items():
-        assert true_distance(pos, deployed_net.node(node_id).true_pos) < 1e-9
+        for other in neighbor_groups(deployed_net, g.id):
+            for node_id in g.member_ids:
+                pos = cross_reference(deployed_net, node_id, other)
+                assert true_distance(pos, deployed_net.node(node_id).true_pos) < 1e-9
 
 
 def test_toy_reference_table_counts(two_group_net):
     # Two adjacent groups of three: one m1 row each, and each anchor
-    # gets one cross record through the single neighbor group.
+    # has one cross reference through the single neighbor group.
     assert len(two_group_net.references.m1) == 2
-    assert len(two_group_net.references.m_cross) == 6
-    assert set(two_group_net.references.m_cross) == {
-        (nid, 1 - gid)
-        for gid in (0, 1)
-        for nid in two_group_net.group(gid).member_ids
-    }
+    for gid in (0, 1):
+        assert neighbor_groups(two_group_net, gid) == [1 - gid]
+        for nid in two_group_net.group(gid).member_ids:
+            pos = cross_reference(two_group_net, nid, 1 - gid)
+            assert true_distance(pos, two_group_net.node(nid).true_pos) < 1e-9
+
+
+def test_cross_reference_ignores_compromised_founder(two_group_net):
+    """A verifier founder's false report cannot move the record."""
+    spec = AttackSpec(
+        count=1, displacement=FixedOffset(40.0, 0.0), selection=SpecificIds((0,))
+    )
+    attacked, _ = compromise(two_group_net, spec, np.random.default_rng(0))
+    assert attacked.node(0).reported_pos != two_group_net.node(0).reported_pos
+    for nid in attacked.group(1).member_ids:
+        assert cross_reference(attacked, nid, 0) == cross_reference(two_group_net, nid, 0)
+    assert cross_reference(attacked, 0, 1) == cross_reference(two_group_net, 0, 1)
 
 
 def test_collinear_founding_triple_names_group():
@@ -182,8 +197,13 @@ def test_serialize_parse_round_trip(deployed_net):
     assert back.groups == deployed_net.groups
     assert back.area == deployed_net.area
     assert back.comm_radius == deployed_net.comm_radius
-    for key, pos in deployed_net.references.m_cross.items():
-        assert true_distance(pos, back.references.m_cross[key]) < 1e-9
+    assert back.references == deployed_net.references
+    for g in deployed_net.groups:
+        for other in neighbor_groups(deployed_net, g.id):
+            for nid in g.member_ids:
+                assert cross_reference(back, nid, other) == cross_reference(
+                    deployed_net, nid, other
+                )
 
 
 def test_parse_rebuilds_references_from_true_positions(two_group_net):
@@ -200,8 +220,8 @@ def test_parse_rebuilds_references_from_true_positions(two_group_net):
     back = parse_network(serialize_network(tampered))
     assert back.node(4).compromised
     assert back.node(4).reported_pos.x == pytest.approx(back.node(4).true_pos.x + 40.0)
-    # Stored cross records describe the pre-attack network.
-    ref = back.references.m_cross[(4, 0)]
+    # Cross references describe the pre-attack network.
+    ref = cross_reference(back, 4, 0)
     assert true_distance(ref, back.node(4).true_pos) < 1e-9
 
 

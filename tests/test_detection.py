@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from anchorguard.attack import AttackSpec, FixedOffset, SpecificIds, UniformRadial, compromise
-from anchorguard.deployment import deploy
+from anchorguard.deployment import cross_reference, deploy, neighbor_groups
 from anchorguard.detection import (
-    NoNeighborGroup,
     group_check,
     isolate_suspects,
     quarantine,
@@ -117,7 +116,9 @@ def test_displaced_extra_member_fails_group():
     attacked, _ = compromise(net, spec, np.random.default_rng(0))
     res = group_check(attacked, 0, 1.0, EXACT, np.random.default_rng(0))
     assert not res.passed
-    recs = isolate_suspects(attacked, 0, 1.0, EXACT, np.random.default_rng(0))
+    recs = isolate_suspects(
+        attacked, 0, 1.0, EXACT, np.random.default_rng(0), verifier_group_id=1
+    )
     assert [r.anchor_id for r in recs] == [3]
 
 
@@ -138,7 +139,7 @@ def test_isolation_pinpoints_displaced_member(two_group_net):
         count=1, displacement=FixedOffset(50.0, 0.0), selection=SpecificIds((4,))
     )
     net, _ = compromise(two_group_net, spec, np.random.default_rng(0))
-    recs = isolate_suspects(net, 1, 1.0, EXACT, np.random.default_rng(0))
+    recs = isolate_suspects(net, 1, 1.0, EXACT, np.random.default_rng(0), verifier_group_id=0)
     assert len(recs) == 1
     rec = recs[0]
     assert rec.anchor_id == 4
@@ -151,29 +152,36 @@ def test_isolation_pinpoints_displaced_member(two_group_net):
 
 
 def test_isolation_exonerates_honest_group(two_group_net):
-    assert isolate_suspects(two_group_net, 0, 1.0, EXACT, np.random.default_rng(0)) == []
-
-
-def test_isolation_skips_contaminated_verifier():
-    # Group 1 would be tried first, but one of its anchors lies, so its
-    # own check fails and group 2 does the verification instead.
-    net = three_group_net()
-    spec = AttackSpec(
-        count=1, displacement=FixedOffset(40.0, 0.0), selection=SpecificIds((4,))
+    recs = isolate_suspects(
+        two_group_net, 0, 1.0, EXACT, np.random.default_rng(0), verifier_group_id=1
     )
-    attacked, _ = compromise(net, spec, np.random.default_rng(0))
-    assert not group_check(attacked, 1, 1.0, EXACT, np.random.default_rng(0)).passed
-    recs = isolate_suspects(attacked, 0, 1.0, EXACT, np.random.default_rng(0))
     assert recs == []
 
 
-def test_isolation_without_usable_verifier_raises(two_group_net):
+def test_isolation_skips_contaminated_verifier():
+    # Group 1 is group 0's sharpest neighbor, but one of its anchors
+    # lies, so its own check fails and group 2 verifies both instead.
+    net = three_group_net()
+    spec = AttackSpec(
+        count=2, displacement=FixedOffset(40.0, 0.0), selection=SpecificIds((0, 4))
+    )
+    attacked, _ = compromise(net, spec, np.random.default_rng(0))
+    report = run_detection(attacked, 1.0, EXACT, np.random.default_rng(0))
+    assert report.groups_failed == frozenset({0, 1})
+    assert report.groups_unresolved == frozenset()
+    assert report.flagged_ids == frozenset({0, 4})
+    assert {r.verifier_group_id for r in report.suspects} == {2}
+
+
+def test_group_whose_only_neighbor_fails_is_unresolved(two_group_net):
     spec = AttackSpec(
         count=2, displacement=FixedOffset(40.0, 0.0), selection=SpecificIds((1, 4))
     )
     net, _ = compromise(two_group_net, spec, np.random.default_rng(0))
-    with pytest.raises(NoNeighborGroup):
-        isolate_suspects(net, 0, 1.0, EXACT, np.random.default_rng(0))
+    report = run_detection(net, 1.0, EXACT, np.random.default_rng(0))
+    assert report.groups_failed == frozenset({0, 1})
+    assert report.groups_unresolved == frozenset({0, 1})
+    assert report.flagged_ids == frozenset()
 
 
 def test_detection_prefers_sharp_nearby_verifier():
@@ -249,16 +257,16 @@ def test_noisy_recall_holds_at_field_scale():
 
 
 def test_relocalization_cloud_exact_collapses_to_reference(two_group_net):
-    cloud = relocalization_cloud(two_group_net, 4, 0, EXACT, np.random.default_rng(0), 16)
-    ref = two_group_net.references.m_cross[(4, 0)]
+    ref = cross_reference(two_group_net, 4, 0)
+    cloud = relocalization_cloud(two_group_net, ref, 0, EXACT, np.random.default_rng(0), 16)
     assert len(cloud) == 16
     assert all(true_distance(p, ref) < 1e-9 for p in cloud)
 
 
 def test_relocalization_cloud_scatters_with_noise(two_group_net):
     model = RangingModel.gaussian(0.5)
-    cloud = relocalization_cloud(two_group_net, 4, 0, model, np.random.default_rng(1), 64)
-    ref = two_group_net.references.m_cross[(4, 0)]
+    ref = cross_reference(two_group_net, 4, 0)
+    cloud = relocalization_cloud(two_group_net, ref, 0, model, np.random.default_rng(1), 64)
     spread = [true_distance(p, ref) for p in cloud]
     assert len(cloud) == 64
     assert max(spread) > 0.0
@@ -273,7 +281,10 @@ def test_quarantine_removes_flagged_node(deployed_net):
     net = quarantine(deployed_net, {7})
     assert all(n.id != 7 for n in net.nodes)
     assert all(7 not in g.member_ids for g in net.groups)
-    assert all(key[0] != 7 for key in net.references.m_cross)
+    assert net.references == deployed_net.references
+    other = neighbor_groups(deployed_net, deployed_net.node(7).group_id)[0]
+    with pytest.raises(KeyError):
+        cross_reference(net, 7, other)
 
 
 def test_quarantine_deactivates_gutted_group(deployed_net):

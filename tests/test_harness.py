@@ -1,5 +1,6 @@
 """Scenario parsing, trial orchestration, metrics, CSV rendering."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -135,6 +136,25 @@ def test_validation_errors(doc, field):
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "key",
+    [
+        "area_w",
+        "area_h",
+        "sigma",
+        "epsilon",
+        "alpha",
+        "comm_radius",
+        "displacement_min",
+        "displacement_max",
+    ],
+)
+def test_validation_rejects_non_finite(key, value):
+    with pytest.raises(ValidationError, match=f"{key}: must be finite"):
+        parse_scenario(f"{key} = {value}\n")
+
+
 def test_validate_rejects_empty_methods():
     with pytest.raises(ValidationError, match="methods"):
         validate_config(ScenarioConfig(methods=()))
@@ -266,3 +286,16 @@ def test_emit_csv_six_significant_digits():
     assert "123457" in line
     assert "0.000123457" in line
     assert line.endswith("nan")
+
+
+# Noisy ranging at a short radius: stage 2 isolates suspects and
+# confirmation prunes some of them, so every layer feeds the digest.
+GOLDEN_CFG = ScenarioConfig(sigma=0.5, comm_radius=70.0, n_malicious=(4, 12), trials=3)
+GOLDEN_SHA256 = "3746d7694b88b760054ca952ab367abffca6026c9d144e006f7470551c9f8304"
+
+
+def test_golden_sweep_digest():
+    """Pins the sweep's output, not just its run-to-run determinism."""
+    text = emit_csv(run_sweep(GOLDEN_CFG))
+    stripped = "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
+    assert hashlib.sha256(stripped.encode()).hexdigest() == GOLDEN_SHA256

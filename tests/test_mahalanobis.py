@@ -18,7 +18,6 @@ from anchorguard.mahalanobis import (
     covariance,
     distance_to_centroid,
     invert,
-    pairwise_distance,
 )
 
 
@@ -134,17 +133,19 @@ def test_distance_zero_at_centroid():
     assert distance_to_centroid(Point2(9, 9), Point2(9, 9), inv) == 0.0
 
 
-def test_pairwise_matches_centroid_by_translation():
+def test_distance_between_any_two_points():
+    # The center need not be a centroid: the distance depends only on
+    # the offset between the two points.
     inv = invert(CovarianceMatrix2(2.0, 2.0, 1.0))
-    assert pairwise_distance(Point2(0, 0), Point2(1, 1), inv) == pytest.approx(
+    assert distance_to_centroid(Point2(0, 0), Point2(1, 1), inv) == pytest.approx(
         math.sqrt(2.0 / 3.0), abs=1e-12
     )
-    assert pairwise_distance(Point2(7, 7), Point2(7, 7), inv) == 0.0
+    assert distance_to_centroid(Point2(7, 7), Point2(7, 7), inv) == 0.0
 
 
-def test_pairwise_identity_reduction():
+def test_distance_identity_reduction_is_symmetric():
     ident = CovarianceMatrix2(1.0, 1.0, 0.0)
-    assert pairwise_distance(Point2(0, 0), Point2(3, 4), ident) == pytest.approx(5.0)
+    assert distance_to_centroid(Point2(0, 0), Point2(3, 4), ident) == pytest.approx(5.0)
 
 
 def test_cutoff_matches_chi_square_quantile():
