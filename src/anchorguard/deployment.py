@@ -9,6 +9,14 @@ the new group's trilateration point, again guaranteeing a radio at the
 center.  Placement keeps repeating until the target count is reached;
 one or two leftover anchors are attached to their nearest group.
 
+Placement files what it has put down in uniform grids (``_Grid``): node
+positions with cells a little wider than ``MIN_NODE_SEPARATION``, and
+nodes and group centers with cells a little wider than
+``CROWDING_RADIUS``.  A separation test or a crowding count then reads
+only the 3x3 block of cells around its point, with the same
+``math.hypot`` comparison a scan of every placed node would make, so a
+network comes out the same to the last bit in near-linear time.
+
 At the end of placement the network records ``m1``: per group, the
 position recovered by trilaterating the group's founding triple against
 its center distances.  Detection replays it.  It is computed from
@@ -26,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable
+from typing import Iterator
 
 import numpy as np
 
@@ -181,20 +189,76 @@ def _first_triple(area: tuple[float, float], rng: np.random.Generator) -> list[t
     raise DeploymentFailure("could not place the initial anchor triple")
 
 
-def _clear_of(
-    pts: Iterable[tuple[float, float]], existing: list[tuple[float, float]]
-) -> bool:
+class _Grid:
+    """Items bucketed by the square cell of the point they stand for.
+
+    Cells are a little wider than ``radius``, so every stored point
+    within ``radius`` of a query point sits in the 3x3 block of cells
+    around the query's own cell, even after ``x / cell`` is rounded.
+    ``near`` yields the items of that block: a superset of the points in
+    range, which callers filter with their own exact distance test.
+    """
+
+    def __init__(self, radius: float):
+        self.cell = radius * 1.0625
+        self.cells: dict[tuple[int, int], list] = {}
+
+    def add(self, x: float, y: float, item) -> None:
+        key = (math.floor(x / self.cell), math.floor(y / self.cell))
+        self.cells.setdefault(key, []).append(item)
+
+    def near(self, x: float, y: float) -> Iterator:
+        kx = math.floor(x / self.cell)
+        ky = math.floor(y / self.cell)
+        for i in (kx - 1, kx, kx + 1):
+            for j in (ky - 1, ky, ky + 1):
+                yield from self.cells.get((i, j), ())
+
+
+def _clear_of(pts: list[tuple[float, float]], placed: _Grid) -> bool:
+    """True when no point of ``placed`` lies within MIN_NODE_SEPARATION
+    of any of ``pts``; ``placed`` holds (x, y) items."""
     for x, y in pts:
-        for ex, ey in existing:
+        for ex, ey in placed.near(x, y):
             if math.hypot(x - ex, y - ey) < MIN_NODE_SEPARATION:
                 return False
     return True
 
 
+class _Crowding:
+    """Per node, the number of group centers within CROWDING_RADIUS.
+
+    Counts stay current as nodes and centers arrive in any order: a new
+    node counts the centers around it once, and a new center bumps the
+    nodes around it.
+    """
+
+    def __init__(self) -> None:
+        self.counts: list[int] = []
+        self._nodes = _Grid(CROWDING_RADIUS)
+        self._centers = _Grid(CROWDING_RADIUS)
+
+    def add_node(self, x: float, y: float) -> None:
+        self._nodes.add(x, y, (x, y, len(self.counts)))
+        self.counts.append(
+            sum(
+                1
+                for cx, cy in self._centers.near(x, y)
+                if math.hypot(x - cx, y - cy) < CROWDING_RADIUS
+            )
+        )
+
+    def add_center(self, cx: float, cy: float) -> None:
+        self._centers.add(cx, cy, (cx, cy))
+        for x, y, idx in self._nodes.near(cx, cy):
+            if math.hypot(x - cx, y - cy) < CROWDING_RADIUS:
+                self.counts[idx] += 1
+
+
 def _triple_around(
     center: tuple[float, float],
     area: tuple[float, float],
-    existing: list[tuple[float, float]],
+    placed: _Grid,
     rng: np.random.Generator,
 ) -> list[tuple[float, float]] | None:
     """Sample a triple whose centroid falls exactly on ``center``.
@@ -212,7 +276,7 @@ def _triple_around(
         return None
     if not _triangle_ok(pts):
         return None
-    if not _clear_of(pts, existing):
+    if not _clear_of(pts, placed):
         return None
     return pts
 
@@ -248,56 +312,60 @@ def deploy(
     positions: list[tuple[float, float]] = []
     node_groups: list[int] = []
     groups: list[tuple[int, list[int], tuple[float, float]]] = []
+    placed = _Grid(MIN_NODE_SEPARATION)
+    crowding = _Crowding()
+
+    def place(pt: tuple[float, float], group_id: int) -> None:
+        positions.append(pt)
+        node_groups.append(group_id)
+        placed.add(pt[0], pt[1], pt)
+        crowding.add_node(pt[0], pt[1])
 
     first = _first_triple(area, rng)
     center0 = (
         (first[0][0] + first[1][0] + first[2][0]) / 3.0,
         (first[0][1] + first[1][1] + first[2][1]) / 3.0,
     )
-    positions.extend(first)
-    node_groups.extend([0, 0, 0])
+    for pt in first:
+        place(pt, 0)
     # The inaugural trilateration point gets its own resident node.
-    positions.append(center0)
-    node_groups.append(0)
+    place(center0, 0)
     groups.append((0, [0, 1, 2, 3], center0))
-
-    def crowding(idx: int) -> int:
-        x, y = positions[idx]
-        return sum(
-            1
-            for _, _, (cx, cy) in groups
-            if math.hypot(x - cx, y - cy) < CROWDING_RADIUS
-        )
+    crowding.add_center(*center0)
 
     # A node may host at most one trilateration point; duplicate centers
     # would collapse two guard circles into one and open a mirror
-    # ambiguity that detection cannot range away.
-    center_hosts = {3}
+    # ambiguity that detection cannot range away.  ``eligible`` lists the
+    # other nodes in ascending id order.
+    eligible = [0, 1, 2]
 
     while target_count - len(positions) >= 3:
         group_id = len(groups)
-        placed = None
+        found = None
         for attempt in range(MAX_GROUP_ATTEMPTS):
-            eligible = [i for i in range(len(positions)) if i not in center_hosts]
             if attempt < FRONTIER_ATTEMPTS:
                 size = min(SEED_CANDIDATES, len(eligible))
                 picks = rng.choice(len(eligible), size=size, replace=False)
-                seed_idx = min((eligible[int(i)] for i in picks), key=crowding)
+                seed_idx = min(
+                    (eligible[int(i)] for i in picks), key=crowding.counts.__getitem__
+                )
             else:
                 seed_idx = eligible[int(rng.integers(len(eligible)))]
-            pts = _triple_around(positions[seed_idx], area, positions, rng)
+            pts = _triple_around(positions[seed_idx], area, placed, rng)
             if pts is not None:
-                placed = (seed_idx, pts)
+                found = (seed_idx, pts)
                 break
-        if placed is None:
+        if found is None:
             raise DeploymentFailure(f"exhausted attempts while placing group {group_id}")
-        seed_idx, pts = placed
-        center_hosts.add(seed_idx)
+        seed_idx, pts = found
+        eligible.remove(seed_idx)
         center = positions[seed_idx]
         ids = list(range(len(positions), len(positions) + 3))
-        positions.extend(pts)
-        node_groups.extend([group_id] * 3)
+        for pt in pts:
+            place(pt, group_id)
+        eligible.extend(ids)
         groups.append((group_id, ids, center))
+        crowding.add_center(*center)
 
     while len(positions) < target_count:
         spot = None
@@ -305,7 +373,7 @@ def deploy(
             seed_idx = int(rng.integers(0, len(positions)))
             dx, dy = _annulus_offset(rng, GROUP_RADIUS_MIN, GROUP_RADIUS_MAX)
             cand = (positions[seed_idx][0] + dx, positions[seed_idx][1] + dy)
-            if _in_area(cand[0], cand[1], area) and _clear_of([cand], positions):
+            if _in_area(cand[0], cand[1], area) and _clear_of([cand], placed):
                 spot = cand
                 break
         if spot is None:
@@ -314,10 +382,8 @@ def deploy(
             groups,
             key=lambda g: math.hypot(spot[0] - g[2][0], spot[1] - g[2][1]),
         )
-        node_id = len(positions)
-        positions.append(spot)
-        node_groups.append(nearest[0])
-        nearest[1].append(node_id)
+        nearest[1].append(len(positions))
+        place(spot, nearest[0])
 
     nodes = tuple(
         AnchorNode(
@@ -431,6 +497,13 @@ def serialize_network(net: Network, seed: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def parse_network(text: str) -> Network:
     """Parse a fixture produced by ``serialize_network``.
 
@@ -440,8 +513,9 @@ def parse_network(text: str) -> Network:
 
     Raises:
         ValueError: on any structural problem in the fixture, including
-            duplicate node ids and groups that name unknown nodes or
-            have fewer than three members.
+            non-finite coordinates or header values, duplicate node or
+            group ids, and groups that name unknown nodes or have fewer
+            than three members.
     """
     raw = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in raw if ln and not ln.startswith("#")]
@@ -455,8 +529,8 @@ def parse_network(text: str) -> Network:
         if key not in header:
             raise ValueError(f"network fixture is missing header key {key!r}")
     try:
-        area = (float(header["area_w"]), float(header["area_h"]))
-        comm_radius = float(header["comm_radius"])
+        area = (_finite(header["area_w"]), _finite(header["area_h"]))
+        comm_radius = _finite(header["comm_radius"])
         n_nodes = int(header["n_nodes"])
         n_groups = int(header["n_groups"])
     except ValueError as exc:
@@ -477,8 +551,8 @@ def parse_network(text: str) -> Network:
             nodes.append(
                 AnchorNode(
                     id=int(parts[0]),
-                    true_pos=Point2(float(parts[1]), float(parts[2])),
-                    reported_pos=Point2(float(parts[3]), float(parts[4])),
+                    true_pos=Point2(_finite(parts[1]), _finite(parts[2])),
+                    reported_pos=Point2(_finite(parts[3]), _finite(parts[4])),
                     group_id=int(parts[5]),
                     compromised=bool(int(parts[6])),
                 )
@@ -500,7 +574,7 @@ def parse_network(text: str) -> Network:
                 AnchorGroup(
                     id=int(gid_s),
                     member_ids=tuple(int(m) for m in members_s.split()),
-                    trilateration_point=Point2(float(coords[0]), float(coords[1])),
+                    trilateration_point=Point2(_finite(coords[0]), _finite(coords[1])),
                 )
             )
         except ValueError as exc:
@@ -511,7 +585,11 @@ def parse_network(text: str) -> Network:
         if n.id in known:
             raise ValueError(f"duplicate node id {n.id}")
         known.add(n.id)
+    group_ids: set[int] = set()
     for g in groups:
+        if g.id in group_ids:
+            raise ValueError(f"duplicate group id {g.id}")
+        group_ids.add(g.id)
         if len(g.member_ids) < 3:
             raise ValueError(f"group {g.id} has fewer than three members")
         unknown = [i for i in g.member_ids if i not in known]

@@ -12,10 +12,12 @@ so typos fail loudly::
     trials = 30
 
 Every trial derives its own random streams from
-``(master_seed, trial_index)``.  Sweep points share deployments at
-equal trial indices, so method and attack-size comparisons are paired
-rather than independent, and runs are reproducible row for row.  The
-CSV schema is::
+``(master_seed, trial_index)``.  The sweep runs trial index by trial
+index, and the sweep points of one index attack one shared deployment,
+so method and attack-size comparisons are paired rather than
+independent and each network is placed once.  Rows still come out in
+point-major order, and runs are reproducible row for row.  The CSV
+schema is::
 
     trial,seed,method,n_malicious,mean_error_m,max_error_m,precision,recall,detect_ms
 
@@ -28,6 +30,7 @@ with ``trial`` set to -1.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -329,22 +332,36 @@ def _error_stats(
     return sum(errors) / len(errors), max(errors)
 
 
+@functools.lru_cache(maxsize=1)
+def _deployment(cfg: ScenarioConfig, trial_index: int) -> Network:
+    """The trial's pristine network, a pure function of its deploy stream.
+
+    Consecutive sweep points of one trial index reuse it; ``Network`` is
+    immutable, so every attack starts from the same placement.  A
+    ``DeploymentFailure`` propagates and is not cached.
+    """
+    _, (deploy_rng, *_) = trial_streams(cfg, trial_index)
+    return deploy((cfg.area_w, cfg.area_h), cfg.n_nodes, deploy_rng, cfg.comm_radius)
+
+
 def run_trial(
     cfg: ScenarioConfig, trial_index: int, n_malicious: int | None = None
 ) -> list[MetricsRecord]:
     """Run one deploy/attack/detect cycle and score every method.
 
-    Raises DeploymentFailure (propagated) when placement fails; the
-    sweep records those as skipped rows.
+    Placement is skipped when the previous call placed the same
+    scenario's network for the same trial index; that network is
+    reused as it was.  Raises DeploymentFailure (propagated) when
+    placement fails; the sweep records those as skipped rows.
     """
     n_mal = cfg.n_malicious[0] if n_malicious is None else n_malicious
-    display_seed, (deploy_rng, attack_rng, detect_rng, confirm_rng) = trial_streams(
+    display_seed, (_, attack_rng, detect_rng, confirm_rng) = trial_streams(
         cfg, trial_index
     )
     model = RangingModel(cfg.ranging, cfg.sigma)
     epsilon = cfg.resolved_epsilon()
 
-    net = deploy((cfg.area_w, cfg.area_h), cfg.n_nodes, deploy_rng, cfg.comm_radius)
+    net = _deployment(cfg, trial_index)
     attack = AttackSpec(
         count=n_mal,
         displacement=UniformRadial(cfg.displacement_min, cfg.displacement_max),
@@ -390,22 +407,26 @@ def run_trial(
 def run_sweep(cfg: ScenarioConfig) -> list[MetricsRecord]:
     """Run the full sweep: every (n_malicious, trial) pair, all methods.
 
-    Data rows come first in sweep order; summary rows (per-column means
-    over the completed trials of each (n_malicious, method) pair, with
-    trial = -1) are appended at the end.
+    Trials run index by index, and the sweep points of one trial index
+    share one deployment.  Rows are buffered per point and emitted in
+    point-major order: every trial of the first ``n_malicious`` value,
+    then the next.  Summary rows (per-column means over the completed
+    trials of each (n_malicious, method) pair, with trial = -1) are
+    appended at the end.
     """
     validate_config(cfg)
-    data: list[MetricsRecord] = []
-    summaries: list[MetricsRecord] = []
-    for n_mal in cfg.n_malicious:
-        per_method: dict[str, list[MetricsRecord]] = {m: [] for m in cfg.methods}
-        for trial_index in range(cfg.trials):
+    # A sweep pays for its own placements: a network left cached by an
+    # earlier call with the same scenario would go unmeasured and untraced.
+    _deployment.cache_clear()
+    data: list[list[MetricsRecord]] = [[] for _ in cfg.n_malicious]
+    for trial_index in range(cfg.trials):
+        for point, n_mal in enumerate(cfg.n_malicious):
             try:
-                rows = run_trial(cfg, trial_index, n_mal)
+                data[point].extend(run_trial(cfg, trial_index, n_mal))
             except (DeploymentFailure, InvalidSpec):
                 display_seed, _ = trial_streams(cfg, trial_index)
                 nan = float("nan")
-                data.append(
+                data[point].append(
                     MetricsRecord(
                         trial=trial_index,
                         seed=display_seed,
@@ -418,12 +439,11 @@ def run_sweep(cfg: ScenarioConfig) -> list[MetricsRecord]:
                         detect_ms=nan,
                     )
                 )
-                continue
-            data.extend(rows)
-            for row in rows:
-                per_method[row.method].append(row)
+
+    summaries: list[MetricsRecord] = []
+    for n_mal, point_rows in zip(cfg.n_malicious, data):
         for method in cfg.methods:
-            rows = per_method[method]
+            rows = [r for r in point_rows if r.method == method]
             if not rows:
                 continue
             n = len(rows)
@@ -440,7 +460,7 @@ def run_sweep(cfg: ScenarioConfig) -> list[MetricsRecord]:
                     detect_ms=sum(r.detect_ms for r in rows) / n,
                 )
             )
-    return data + summaries
+    return [r for point_rows in data for r in point_rows] + summaries
 
 
 def _fmt(value: float) -> str:

@@ -183,8 +183,10 @@ def _with_last_group_members(lines, members):
         (lambda lines: lines[:7] + [lines[6]] + lines[8:], "duplicate node id 0"),
         (lambda lines: _with_last_group_members(lines, "0 1 999"), "unknown node ids [999]"),
         (lambda lines: _with_last_group_members(lines, "0 1"), "fewer than three members"),
+        # The last group line relabelled as group 0.
+        (lambda lines: lines[:-1] + ["0," + lines[-1].partition(",")[2]], "duplicate group id 0"),
     ],
-    ids=["duplicate-id", "unknown-member", "short-group"],
+    ids=["duplicate-id", "unknown-member", "short-group", "duplicate-group-id"],
 )
 def test_detect_rejects_inconsistent_fixture(scenario_file, tmp_path, capsys, mangle, message):
     fixture = tmp_path / "net.txt"
@@ -193,6 +195,34 @@ def test_detect_rejects_inconsistent_fixture(scenario_file, tmp_path, capsys, ma
     bad.write_text("\n".join(mangle(fixture.read_text().splitlines())) + "\n")
     assert main(["detect", "--scenario", scenario_file, "--network", str(bad)]) == 2
     assert message in capsys.readouterr().err
+
+
+def _with_field(line, sep, index, value):
+    fields = line.split(sep)
+    fields[index] = value
+    return sep.join(fields)
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda lines: ["area_w=nan"] + lines[1:],
+        lambda lines: lines[:1] + ["area_h=inf"] + lines[2:],
+        lambda lines: lines[:2] + ["comm_radius=-inf"] + lines[3:],
+        # Node 0 sits on line 6: id, true x, true y, reported x, reported y.
+        lambda lines: lines[:6] + [_with_field(lines[6], ",", 1, "nan")] + lines[7:],
+        lambda lines: lines[:6] + [_with_field(lines[6], ",", 4, "inf")] + lines[7:],
+        lambda lines: lines[:-1] + [_with_field(lines[-1], ",", -1, "nan")],
+    ],
+    ids=["area_w", "area_h", "comm_radius", "node-true-x", "node-reported-y", "group-point-y"],
+)
+def test_detect_rejects_non_finite_fixture(scenario_file, tmp_path, capsys, mangle):
+    fixture = tmp_path / "net.txt"
+    assert main(["deploy", "--scenario", scenario_file, "--out", str(fixture), "--quiet"]) == 0
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(mangle(fixture.read_text().splitlines())) + "\n")
+    assert main(["detect", "--scenario", scenario_file, "--network", str(bad)]) == 2
+    assert "is not finite" in capsys.readouterr().err
 
 
 def test_detect_missing_network(scenario_file):

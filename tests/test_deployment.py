@@ -1,13 +1,18 @@
 """Group placement, reference records, neighbor graph, fixture format."""
 
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorguard.attack import AttackSpec, FixedOffset, SpecificIds, compromise
 from anchorguard.deployment import (
+    CROWDING_RADIUS,
+    MIN_NODE_SEPARATION,
     DeploymentFailure,
     UnknownGroup,
     build_references,
@@ -16,6 +21,9 @@ from anchorguard.deployment import (
     neighbor_groups,
     parse_network,
     serialize_network,
+    _clear_of,
+    _Crowding,
+    _Grid,
 )
 from anchorguard.geometry import DegenerateGeometry, Point2
 from anchorguard.ranging import true_distance
@@ -86,6 +94,79 @@ def test_deployment_is_deterministic():
     b = deploy((600.0, 600.0), 122, np.random.default_rng(9))
     assert a.nodes == b.nodes
     assert a.groups == b.groups
+
+
+# sha256 of serialize_network(deploy((area, area), n, default_rng(seed))).
+# These pin placement byte for byte: a faster search for clear spots or
+# uncrowded hosts must place every node exactly where the plain scans did.
+PLACEMENT_DIGESTS = {
+    (600.0, 122, 3): "877fb4aa13e66b160a7738cdd71c6711834ef9726dc4b3f0122f7a8f638f47dd",
+    (600.0, 122, 11): "0a107c34af14e9858b3b3f2d86dfdcc2342a41498f9d7166daddefdb66e70df5",
+    (1200.0, 488, 3): "7cb2808ba67142c6f9bd0b3505e5c1aaf9d9a358a1693ccdcc0b49a0e42ca04c",
+    (1200.0, 488, 11): "dea236d3e5a1716a5dd57035839828e918962e35ded7965ef5a69b4602131175",
+}
+
+
+@pytest.mark.parametrize("area, n_nodes, seed", sorted(PLACEMENT_DIGESTS))
+def test_placement_digest(area, n_nodes, seed):
+    net = deploy((area, area), n_nodes, np.random.default_rng(seed))
+    digest = hashlib.sha256(serialize_network(net).encode()).hexdigest()
+    assert digest == PLACEMENT_DIGESTS[(area, n_nodes, seed)]
+
+
+@st.composite
+def _point_sets(draw, radius):
+    """Points near a few grid cells, some on cell edges and some exactly
+    (or one ulp off) ``radius`` away from an earlier point."""
+    cell = _Grid(radius).cell
+    coord = st.one_of(
+        st.floats(-2.0 * cell, 5.0 * cell, allow_nan=False),
+        st.integers(-2, 5).map(lambda k: k * cell),
+    )
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=25))
+    under, over = math.nextafter(radius, 0.0), math.nextafter(radius, math.inf)
+    offsets = st.sampled_from(
+        [(radius, 0.0), (0.0, -radius), (-radius, 0.0), (0.6 * radius, 0.8 * radius),
+         (under, 0.0), (0.0, over), (-0.8 * radius, -0.6 * radius)]
+    )
+    for i, (dx, dy) in draw(st.lists(st.tuples(st.integers(0, len(pts) - 1), offsets), max_size=15)):
+        x, y = pts[i]
+        pts.append((x + dx, y + dy))
+    return draw(st.permutations(pts))
+
+
+@settings(deadline=None)
+@given(_point_sets(MIN_NODE_SEPARATION), st.data())
+def test_grid_separation_matches_linear_scan(points, data):
+    split = data.draw(st.integers(1, len(points)))
+    existing, queries = points[:split], points[split:]
+    grid = _Grid(MIN_NODE_SEPARATION)
+    for x, y in existing:
+        grid.add(x, y, (x, y))
+    for x, y in queries:
+        linear = not any(
+            math.hypot(x - ex, y - ey) < MIN_NODE_SEPARATION for ex, ey in existing
+        )
+        assert _clear_of([(x, y)], grid) == linear
+
+
+@settings(deadline=None)
+@given(_point_sets(CROWDING_RADIUS), st.data())
+def test_crowding_counts_match_linear_scan(points, data):
+    is_center = data.draw(st.lists(st.booleans(), min_size=len(points), max_size=len(points)))
+    crowding = _Crowding()
+    nodes, centers = [], []
+    for (x, y), center in zip(points, is_center):
+        if center:
+            crowding.add_center(x, y)
+            centers.append((x, y))
+        else:
+            crowding.add_node(x, y)
+            nodes.append((x, y))
+    assert crowding.counts == [
+        sum(1 for cx, cy in centers if math.hypot(x - cx, y - cy) < CROWDING_RADIUS)
+        for x, y in nodes
+    ]
 
 
 def test_too_few_nodes_rejected():

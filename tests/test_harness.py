@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from anchorguard import harness
 from anchorguard.attack import AttackSpec, FixedOffset, SpecificIds, compromise
 from anchorguard.detection import SuspectRecord
 from anchorguard.geometry import Point2
@@ -257,6 +258,44 @@ def test_undeployable_scenario_yields_skipped_rows():
         assert r.method == SKIPPED
         assert math.isnan(r.mean_error_m)
         assert math.isnan(r.precision)
+
+
+# Unsorted, with a repeated value: rows must be kept per sweep point,
+# not per n_malicious value.
+SHARED_CFG = ScenarioConfig(sigma=0.5, comm_radius=70.0, n_malicious=(8, 4, 8), trials=3)
+
+
+def _strip(text):
+    return "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
+
+
+def test_sweep_deploys_once_per_trial_index(monkeypatch):
+    calls = []
+    original = harness.deploy
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "deploy", counting)
+    run_sweep(SHARED_CFG)
+    assert len(calls) == SHARED_CFG.trials
+
+
+def test_sweep_rows_match_stand_alone_trials_in_point_major_order():
+    rows = run_sweep(SHARED_CFG)
+    alone = [
+        row
+        for n_mal in SHARED_CFG.n_malicious
+        for t in range(SHARED_CFG.trials)
+        for row in run_trial(SHARED_CFG, t, n_mal)
+    ]
+    data = [r for r in rows if r.trial != SUMMARY_TRIAL]
+    assert _strip(emit_csv(data)) == _strip(emit_csv(alone))
+    assert rows[: len(data)] == data
+    summary_points = [r.n_malicious for r in rows[len(data) :]]
+    methods = len(SHARED_CFG.methods)
+    assert summary_points == [n for n in SHARED_CFG.n_malicious for _ in range(methods)]
 
 
 def test_emit_csv_empty():
