@@ -73,12 +73,14 @@ def _validate(net: Network, spec: AttackSpec) -> None:
         raise InvalidSpec(f"count {spec.count} exceeds network size {len(net.nodes)}")
     disp = spec.displacement
     if isinstance(disp, FixedOffset):
+        if not (math.isfinite(disp.dx) and math.isfinite(disp.dy)):
+            raise InvalidSpec(f"fixed offset must be finite, got ({disp.dx}, {disp.dy})")
         if math.hypot(disp.dx, disp.dy) == 0.0:
             raise InvalidSpec("fixed offset must be non-zero")
     elif isinstance(disp, UniformRadial):
-        if not (0.0 <= disp.min_r <= disp.max_r) or disp.max_r <= 0.0:
+        if not (0.0 <= disp.min_r <= disp.max_r < math.inf) or disp.max_r <= 0.0:
             raise InvalidSpec(
-                f"radial displacement needs 0 <= min_r <= max_r and max_r > 0, "
+                f"radial displacement needs 0 <= min_r <= max_r < inf and max_r > 0, "
                 f"got [{disp.min_r}, {disp.max_r}]"
             )
     else:

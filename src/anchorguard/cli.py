@@ -5,8 +5,10 @@ Subcommands:
     deploy  place a network and write its fixture
     detect  run detection over a stored network fixture
 
-Exit codes: 0 on success, 2 for scenario or fixture problems, 3 when a
-sweep produces no usable trials or fails outright.
+Each subcommand registers only the flags it reads.  Exit codes: 0 on
+success, 2 for scenario or fixture problems and for paths that cannot be
+read or written, 3 when a sweep produces no usable trials or fails
+outright.
 """
 
 from __future__ import annotations
@@ -18,10 +20,8 @@ from dataclasses import replace
 from .attack import AttackSpec, UniformRadial, compromise
 from .deployment import DeploymentFailure, deploy, parse_network, serialize_network
 from .detection import run_detection
-from .geometry import DegenerateGeometry
 from .harness import (
     SKIPPED,
-    ParseError,
     ScenarioConfig,
     ValidationError,
     emit_csv,
@@ -29,7 +29,6 @@ from .harness import (
     run_sweep,
     suspects_csv,
     trial_streams,
-    validate_config,
 )
 from .ranging import RangingModel
 
@@ -41,13 +40,25 @@ def _load_config(path: str | None) -> ScenarioConfig:
         return parse_scenario(fh.read())
 
 
+# Override flag -> ScenarioConfig field.  A subcommand registers only
+# the flags it reads; replace() checks the result like any other build.
+_OVERRIDES = {
+    "seed": "master_seed",
+    "trials": "trials",
+    "malicious": "n_malicious",
+    "sigma": "sigma",
+    "epsilon": "epsilon",
+    "alpha": "alpha",
+}
+
+
 def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
-    changes = {}
-    if getattr(args, "seed", None) is not None:
-        changes["master_seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        changes["trials"] = args.trials
-    if getattr(args, "malicious", None) is not None:
+    changes = {
+        field: getattr(args, flag)
+        for flag, field in _OVERRIDES.items()
+        if getattr(args, flag, None) is not None
+    }
+    if "n_malicious" in changes:
         try:
             changes["n_malicious"] = tuple(
                 int(v) for v in args.malicious.split(",") if v.strip()
@@ -56,16 +67,7 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioC
             raise ValidationError(
                 "n_malicious", f"expected comma-separated integers, got {args.malicious!r}"
             ) from None
-    if getattr(args, "sigma", None) is not None:
-        changes["sigma"] = args.sigma
-    if getattr(args, "epsilon", None) is not None:
-        changes["epsilon"] = args.epsilon
-    if getattr(args, "alpha", None) is not None:
-        changes["alpha"] = args.alpha
-    if changes:
-        cfg = replace(cfg, **changes)
-    validate_config(cfg)
-    return cfg
+    return replace(cfg, **changes)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -156,13 +158,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", help="scenario document (defaults apply if omitted)")
         p.add_argument("--out", help="output path, '-' or omitted for stdout")
         p.add_argument("--seed", type=int, help="override master_seed")
+        p.add_argument("--quiet", action="store_true", help="suppress the summary")
+
+    def detection(p: argparse.ArgumentParser) -> None:
         p.add_argument("--sigma", type=float, help="override ranging noise")
         p.add_argument("--epsilon", type=float, help="override detection threshold")
-        p.add_argument("--alpha", type=float, help="override confirmation significance")
-        p.add_argument("--quiet", action="store_true", help="suppress the summary")
 
     p_run = sub.add_parser("run", help="run a scenario sweep, write metrics CSV")
     common(p_run)
+    detection(p_run)
+    p_run.add_argument("--alpha", type=float, help="override confirmation significance")
     p_run.add_argument("--trials", type=int, help="override trials per sweep point")
     p_run.add_argument("--malicious", help="override n_malicious, e.g. 4,8,12")
     p_run.set_defaults(func=_cmd_run)
@@ -173,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_det = sub.add_parser("detect", help="run detection over a network fixture")
     common(p_det)
+    detection(p_det)
     p_det.add_argument("--network", required=True, help="network fixture path")
     p_det.set_defaults(func=_cmd_detect)
     return parser
@@ -183,10 +189,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, DegenerateGeometry) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
+        # ParseError, ValidationError, DegenerateGeometry and InvalidSpec
+        # are ValueErrors; OSError covers unreadable or unwritable paths.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DeploymentFailure as exc:

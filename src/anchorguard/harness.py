@@ -2,7 +2,8 @@
 
 A scenario document is flat ``key = value`` text.  ``#`` starts a
 comment, lists are written in brackets, and unknown keys are rejected
-so typos fail loudly::
+so typos fail loudly.  Values are checked when the ``ScenarioConfig``
+is built, however it is built, so nothing downstream re-checks them::
 
     # sweep over attack sizes
     n_nodes = 122
@@ -51,7 +52,7 @@ from .mahalanobis import (
     chi_square_cutoff,
     confirm_outliers,
 )
-from .ranging import RangingModel, true_distance
+from .ranging import _KINDS, RangingModel, true_distance
 
 METHOD_TRILATERATION = "trilateration_only"
 METHOD_MAHALANOBIS = "trilateration_mahalanobis"
@@ -81,6 +82,19 @@ class ValidationError(ValueError):
         self.fieldname = fieldname
 
 
+_INT_KEYS = ("n_nodes", "trials", "master_seed", "cloud_samples")
+_FLOAT_KEYS = (
+    "area_w",
+    "area_h",
+    "sigma",
+    "epsilon",
+    "alpha",
+    "comm_radius",
+    "displacement_min",
+    "displacement_max",
+)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One experiment description.
@@ -90,6 +104,11 @@ class ScenarioConfig:
     range gaps from tripping the check even after noise amplification
     through the solve, while staying far below any displacement worth
     an attacker's effort.
+
+    A scenario checks itself when it is built, whether by
+    ``parse_scenario``, direct construction or ``dataclasses.replace``,
+    and raises ValidationError for any value out of range, so every
+    scenario that exists is a valid one.
     """
 
     area_w: float = 600.0
@@ -107,6 +126,51 @@ class ScenarioConfig:
     displacement_min: float = 20.0
     displacement_max: float = 60.0
     cloud_samples: int = 64
+
+    def __post_init__(self) -> None:
+        for key in _FLOAT_KEYS:
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(key, f"must be finite, got {value}")
+        if self.area_w <= 0 or self.area_h <= 0:
+            raise ValidationError("area", f"must be positive, got {self.area_w}x{self.area_h}")
+        if self.n_nodes < 4:
+            raise ValidationError("n_nodes", f"must be at least 4, got {self.n_nodes}")
+        if not self.n_malicious:
+            raise ValidationError("n_malicious", "needs at least one value")
+        for m in self.n_malicious:
+            if m < 0 or m >= self.n_nodes:
+                raise ValidationError(
+                    "n_malicious", f"each value needs 0 <= value < n_nodes, got {m}"
+                )
+        if self.ranging not in _KINDS:
+            raise ValidationError("ranging", f"unknown model {self.ranging!r}")
+        if self.sigma < 0:
+            raise ValidationError("sigma", f"must be >= 0, got {self.sigma}")
+        if self.epsilon is not None and self.epsilon <= 0:
+            raise ValidationError("epsilon", f"must be > 0, got {self.epsilon}")
+        if not (0.0 < self.alpha < 1.0):
+            raise ValidationError("alpha", f"must be in (0, 1), got {self.alpha}")
+        if self.comm_radius <= 0:
+            raise ValidationError("comm_radius", f"must be > 0, got {self.comm_radius}")
+        if self.trials < 1:
+            raise ValidationError("trials", f"must be >= 1, got {self.trials}")
+        if self.master_seed < 0:
+            raise ValidationError("master_seed", f"must be >= 0, got {self.master_seed}")
+        if not self.methods:
+            raise ValidationError("methods", "needs at least one method")
+        for m in self.methods:
+            if m not in METHODS:
+                raise ValidationError("methods", f"unknown method {m!r}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValidationError("methods", "duplicate method")
+        if not (0.0 <= self.displacement_min <= self.displacement_max) or self.displacement_max <= 0:
+            raise ValidationError(
+                "displacement",
+                f"needs 0 <= min <= max and max > 0, got [{self.displacement_min}, {self.displacement_max}]",
+            )
+        if self.cloud_samples < 8:
+            raise ValidationError("cloud_samples", f"must be >= 8, got {self.cloud_samples}")
 
     def resolved_epsilon(self) -> float:
         if self.epsilon is not None:
@@ -129,19 +193,6 @@ class MetricsRecord:
     detect_ms: float
 
 
-_INT_KEYS = ("n_nodes", "trials", "master_seed", "cloud_samples")
-_FLOAT_KEYS = (
-    "area_w",
-    "area_h",
-    "sigma",
-    "epsilon",
-    "alpha",
-    "comm_radius",
-    "displacement_min",
-    "displacement_max",
-)
-
-
 def _parse_scalar(key: str, text: str, lineno: int):
     if key in _INT_KEYS:
         try:
@@ -157,12 +208,13 @@ def _parse_scalar(key: str, text: str, lineno: int):
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
-    """Parse and validate a scenario document.
+    """Parse a scenario document into a checked ScenarioConfig.
 
     Raises:
         ParseError: malformed line, unknown key, duplicate key, or a
             value of the wrong shape.
-        ValidationError: well-formed but out-of-range configuration.
+        ValidationError: well-formed but out-of-range configuration,
+            raised by ScenarioConfig itself.
     """
     known = set(_INT_KEYS) | set(_FLOAT_KEYS) | {"ranging", "n_malicious", "methods"}
     seen: dict[str, object] = {}
@@ -203,55 +255,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             else:
                 seen[key] = _parse_scalar(key, value, lineno)
 
-    cfg = ScenarioConfig(**seen)  # type: ignore[arg-type]
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: ScenarioConfig) -> None:
-    for key in _FLOAT_KEYS:
-        value = getattr(cfg, key)
-        if value is not None and not math.isfinite(value):
-            raise ValidationError(key, f"must be finite, got {value}")
-    if cfg.area_w <= 0 or cfg.area_h <= 0:
-        raise ValidationError("area", f"must be positive, got {cfg.area_w}x{cfg.area_h}")
-    if cfg.n_nodes < 4:
-        raise ValidationError("n_nodes", f"must be at least 4, got {cfg.n_nodes}")
-    if not cfg.n_malicious:
-        raise ValidationError("n_malicious", "needs at least one value")
-    for m in cfg.n_malicious:
-        if m < 0 or m >= cfg.n_nodes:
-            raise ValidationError(
-                "n_malicious", f"each value needs 0 <= value < n_nodes, got {m}"
-            )
-    if cfg.ranging not in ("exact", "gaussian", "lognormal"):
-        raise ValidationError("ranging", f"unknown model {cfg.ranging!r}")
-    if cfg.sigma < 0:
-        raise ValidationError("sigma", f"must be >= 0, got {cfg.sigma}")
-    if cfg.epsilon is not None and cfg.epsilon <= 0:
-        raise ValidationError("epsilon", f"must be > 0, got {cfg.epsilon}")
-    if not (0.0 < cfg.alpha < 1.0):
-        raise ValidationError("alpha", f"must be in (0, 1), got {cfg.alpha}")
-    if cfg.comm_radius <= 0:
-        raise ValidationError("comm_radius", f"must be > 0, got {cfg.comm_radius}")
-    if cfg.trials < 1:
-        raise ValidationError("trials", f"must be >= 1, got {cfg.trials}")
-    if cfg.master_seed < 0:
-        raise ValidationError("master_seed", f"must be >= 0, got {cfg.master_seed}")
-    if not cfg.methods:
-        raise ValidationError("methods", "needs at least one method")
-    for m in cfg.methods:
-        if m not in METHODS:
-            raise ValidationError("methods", f"unknown method {m!r}")
-    if len(set(cfg.methods)) != len(cfg.methods):
-        raise ValidationError("methods", "duplicate method")
-    if not (0.0 <= cfg.displacement_min <= cfg.displacement_max) or cfg.displacement_max <= 0:
-        raise ValidationError(
-            "displacement",
-            f"needs 0 <= min <= max and max > 0, got [{cfg.displacement_min}, {cfg.displacement_max}]",
-        )
-    if cfg.cloud_samples < 8:
-        raise ValidationError("cloud_samples", f"must be >= 8, got {cfg.cloud_samples}")
+    return ScenarioConfig(**seen)  # type: ignore[arg-type]
 
 
 def trial_streams(
@@ -414,7 +418,6 @@ def run_sweep(cfg: ScenarioConfig) -> list[MetricsRecord]:
     trials of each (n_malicious, method) pair, with trial = -1) are
     appended at the end.
     """
-    validate_config(cfg)
     # A sweep pays for its own placements: a network left cached by an
     # earlier call with the same scenario would go unmeasured and untraced.
     _deployment.cache_clear()

@@ -35,8 +35,8 @@ class RangingModel:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown ranging kind {self.kind!r}, expected one of {_KINDS}")
-        if not (self.sigma >= 0.0):
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not (0.0 <= self.sigma < math.inf):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
     @classmethod
     def exact(cls) -> "RangingModel":

@@ -113,6 +113,10 @@ def test_original_positions_recorded(deployed_net):
         AttackSpec(count=2, selection=SpecificIds((7, 7))),
         AttackSpec(count=3, selection=SpecificIds((7,))),
         AttackSpec(count=1, selection=SpecificIds((100_000,))),
+        AttackSpec(count=1, displacement=UniformRadial(20.0, math.inf)),
+        AttackSpec(count=1, displacement=UniformRadial(math.nan, 20.0)),
+        AttackSpec(count=1, displacement=FixedOffset(math.inf, 0.0)),
+        AttackSpec(count=1, displacement=FixedOffset(math.nan, 0.0)),
     ],
 )
 def test_invalid_specs_rejected(deployed_net, spec):

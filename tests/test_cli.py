@@ -236,6 +236,38 @@ def test_detect_corrupt_fixture(scenario_file, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--scenario", "{scenario}", "--out", "{dir}"],
+        ["run", "--scenario", "{dir}"],
+        ["deploy", "--scenario", "{scenario}", "--out", "{dir}"],
+        ["detect", "--scenario", "{scenario}", "--network", "{dir}"],
+    ],
+    ids=["run-out", "run-scenario", "deploy-out", "detect-network"],
+)
+def test_directory_path_exits_2(scenario_file, tmp_path, capsys, argv):
+    argv = [arg.format(scenario=scenario_file, dir=tmp_path) for arg in argv]
+    assert main([*argv, "--quiet"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["deploy", "--epsilon", "3"],
+        ["deploy", "--sigma", "2"],
+        ["deploy", "--alpha", "0.5"],
+        ["detect", "--network", "net.txt", "--alpha", "0.5"],
+    ],
+    ids=["deploy-epsilon", "deploy-sigma", "deploy-alpha", "detect-alpha"],
+)
+def test_unread_flag_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_missing_subcommand_exits():
     with pytest.raises(SystemExit):
         main([])

@@ -27,7 +27,6 @@ from anchorguard.harness import (
     run_sweep,
     run_trial,
     trial_streams,
-    validate_config,
 )
 
 FULL_DOC = """
@@ -112,6 +111,22 @@ def test_parse_error_carries_line_number():
         pytest.fail("expected ParseError")
 
 
+def _each_build(doc, monkeypatch):
+    """Builders of the scenario ``doc`` describes, one for each way a
+    ScenarioConfig gets built: parsing the document, constructing it
+    from the parsed values, and ``replace`` on the default scenario."""
+    with monkeypatch.context() as m:
+        # parse_scenario hands its parsed values to ScenarioConfig as
+        # keywords; a dict in its place collects them unchecked.
+        m.setattr(harness, "ScenarioConfig", dict)
+        fields = harness.parse_scenario(doc)
+    return [
+        lambda: parse_scenario(doc),
+        lambda: ScenarioConfig(**fields),
+        lambda: replace(ScenarioConfig(), **fields),
+    ]
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [
@@ -132,9 +147,10 @@ def test_parse_error_carries_line_number():
         ("cloud_samples = 2\n", "cloud_samples"),
     ],
 )
-def test_validation_errors(doc, field):
-    with pytest.raises(ValidationError, match=field):
-        parse_scenario(doc)
+def test_validation_errors(doc, field, monkeypatch):
+    for build in _each_build(doc, monkeypatch):
+        with pytest.raises(ValidationError, match=field):
+            build()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -151,14 +167,18 @@ def test_validation_errors(doc, field):
         "displacement_max",
     ],
 )
-def test_validation_rejects_non_finite(key, value):
-    with pytest.raises(ValidationError, match=f"{key}: must be finite"):
-        parse_scenario(f"{key} = {value}\n")
+def test_validation_rejects_non_finite(key, value, monkeypatch):
+    for build in _each_build(f"{key} = {value}\n", monkeypatch):
+        with pytest.raises(ValidationError, match=f"{key}: must be finite"):
+            build()
 
 
 def test_validate_rejects_empty_methods():
+    # A document cannot list no methods; only code can build one so.
     with pytest.raises(ValidationError, match="methods"):
-        validate_config(ScenarioConfig(methods=()))
+        ScenarioConfig(methods=())
+    with pytest.raises(ValidationError, match="methods"):
+        replace(ScenarioConfig(), methods=())
 
 
 def test_trial_streams_reproducible_and_distinct():

@@ -81,5 +81,6 @@ def test_unknown_kind_rejected():
 
 
 def test_negative_sigma_rejected():
-    with pytest.raises(ValueError):
-        RangingModel.gaussian(-0.5)
+    for sigma in (-0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            RangingModel.gaussian(sigma)
