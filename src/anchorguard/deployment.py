@@ -27,6 +27,9 @@ Cross references, an anchor's position as recovered through another
 group's founding triple, are derived on demand by ``cross_reference``
 from installation positions, which never change.  Stage 2 needs only
 the few that belong to members of failed groups.
+
+Group adjacency, the ``neighbor_groups`` lists, is computed once per
+``Network``, on first use, for every group at once.
 """
 
 from __future__ import annotations
@@ -143,6 +146,27 @@ class Network:
     @cached_property
     def _group_index(self) -> dict[int, AnchorGroup]:
         return {g.id: g for g in self.groups}
+
+    @cached_property
+    def _adjacency(self) -> dict[int, list[int]]:
+        """Every group's ``neighbor_groups`` list, from one pass over
+        group pairs.  A pair's distance is the ``true_distance`` of its
+        centers, computed once for both ends: negating both differences
+        leaves ``math.hypot`` unchanged to the last bit."""
+        found: dict[int, list[tuple[float, int]]] = {g.id: [] for g in self.groups}
+        centers = [
+            (g.id, g.active, g.trilateration_point.x, g.trilateration_point.y)
+            for g in self.groups
+        ]
+        for k, (a, a_active, ax, ay) in enumerate(centers):
+            for b, b_active, bx, by in centers[k + 1 :]:
+                dist = math.hypot(ax - bx, ay - by)
+                if dist <= self.comm_radius:
+                    if b_active:
+                        found[a].append((dist, b))
+                    if a_active:
+                        found[b].append((dist, a))
+        return {gid: [i for _, i in sorted(pairs)] for gid, pairs in found.items()}
 
     def node(self, node_id: int) -> AnchorNode:
         try:
@@ -416,18 +440,19 @@ def neighbor_groups(net: Network, group_id: int) -> list[int]:
     """Groups whose trilateration points lie within the comm radius.
 
     Sorted nearest first, ties broken by id.  The group itself and
-    inactive groups are excluded.
+    inactive other groups are excluded; an inactive group still lists
+    its active neighbors.  A network builds the lists of all its groups
+    on the first call, in one pass over group pairs with the same
+    ``math.hypot`` distance and ``<=`` test a scan would use; every call
+    returns a fresh copy of one list.
+
+    Raises:
+        UnknownGroup: if ``group_id`` is not in the network.
     """
-    own = net.group(group_id)
-    found: list[tuple[float, int]] = []
-    for g in net.groups:
-        if g.id == group_id or not g.active:
-            continue
-        dist = true_distance(own.trilateration_point, g.trilateration_point)
-        if dist <= net.comm_radius:
-            found.append((dist, g.id))
-    found.sort()
-    return [gid for _, gid in found]
+    try:
+        return list(net._adjacency[group_id])
+    except KeyError:
+        raise UnknownGroup(f"no group with id {group_id}") from None
 
 
 def build_references(net: Network) -> ReferenceTable:

@@ -22,6 +22,12 @@ keep advertising their falsified coordinates and give themselves away
 by the full displacement.  The verifier side of the exchange also
 keeps its own physical fix of the member, which is where the system
 now believes the node really sits.
+
+Both stages find neighbor groups through ``neighbor_groups``, whose
+lists a network builds once for all its groups.  Confirmation's
+``relocalization_cloud`` replays a suspect's re-localization as one
+batch: one block of noise draws, taken from the stream in the order the
+scalar replay would take them, and the closed-form solve on arrays.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .deployment import Network, cross_reference, neighbor_groups
-from .geometry import DegenerateGeometry, Point2, trilaterate
-from .ranging import RangingModel, measure, true_distance
+from .geometry import DegenerateGeometry, Point2, frame_xy, to_canonical, trilaterate
+from .ranging import RangingModel, measure, measure_block, true_distance
 
 # Number of neighbor-group centers each member is range-guarded
 # against during stage 1, beyond its own group center.
@@ -304,17 +310,22 @@ def relocalization_cloud(
     the re-localization ``samples`` times to see how far measurement
     noise alone scatters an honest answer.  The resulting cloud is the
     reference set for Mahalanobis confirmation.
+
+    The replay is batched: the verifier frame and the three true
+    distances are computed once, the noise for all ``samples x 3``
+    ranges is one ``measure_block`` draw, and the closed-form solve
+    runs on arrays.  The stream is consumed in the same order as one
+    ``measure`` per range and one ``trilaterate`` per fix, and every
+    point comes out the same to the last bit.
     """
-    verifier = net.group(verifier_group_id)
-    v_nodes = [net.node(i) for i in verifier.founding_ids]
-    v_pts = [v.true_pos for v in v_nodes]
-    cloud = []
-    for _ in range(samples):
-        ranges = [
-            measure(true_distance(p, reference), model, rng) for p in v_pts
-        ]
-        cloud.append(trilaterate(v_pts, ranges).position)
-    return cloud
+    v_pts = [net.node(i).true_pos for i in net.group(verifier_group_id).founding_ids]
+    frame = to_canonical(*v_pts)
+    ranges = measure_block(
+        [true_distance(p, reference) for p in v_pts], model, rng, samples
+    )
+    x, y = frame_xy(frame.d, frame.i, frame.j, *ranges.T)
+    wx, wy = frame.world_xy(x, y)
+    return [Point2(px, py) for px, py in zip(wx.tolist(), wy.tolist())]
 
 
 def quarantine(net: Network, flagged_ids: frozenset[int] | set[int]) -> Network:

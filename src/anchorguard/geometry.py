@@ -79,9 +79,14 @@ class CanonicalFrame:
         return Point2(self.ux * dx + self.uy * dy, -self.uy * dx + self.ux * dy)
 
     def to_world(self, p: Point2) -> Point2:
-        return Point2(
-            self.origin.x + self.ux * p.x - self.uy * p.y,
-            self.origin.y + self.uy * p.x + self.ux * p.y,
+        return Point2(*self.world_xy(p.x, p.y))
+
+    def world_xy(self, x, y):
+        """World coordinates of frame point ``(x, y)``.  Also evaluates
+        elementwise, with the same rounding, on numpy arrays."""
+        return (
+            self.origin.x + self.ux * x - self.uy * y,
+            self.origin.y + self.uy * x + self.ux * y,
         )
 
 
@@ -110,6 +115,18 @@ def to_canonical(p1: Point2, p2: Point2, p3: Point2) -> CanonicalFrame:
     return CanonicalFrame(origin=p1, ux=ux, uy=uy, d=d, i=i, j=j)
 
 
+def frame_xy(d: float, i: float, j: float, r1, r2, r3):
+    """The closed-form fix ``(x, y)`` in frame coordinates, unchecked.
+
+    Also evaluates elementwise on numpy arrays of ranges, with the same
+    operations in the same order, so a batch of fixes matches one
+    ``solve_canonical`` call per fix to the last bit.
+    """
+    x = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
+    y = (r1 * r1 - r3 * r3 + i * i + j * j) / (2.0 * j) - (i / j) * x
+    return x, y
+
+
 def solve_canonical(
     d: float, i: float, j: float, r1: float, r2: float, r3: float
 ) -> TrilaterationResult:
@@ -120,8 +137,7 @@ def solve_canonical(
     """
     if 0.5 * abs(d * j) < MIN_TRIANGLE_AREA:
         raise DegenerateGeometry("frame parameters describe a collinear triple")
-    x = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
-    y = (r1 * r1 - r3 * r3 + i * i + j * j) / (2.0 * j) - (i / j) * x
+    x, y = frame_xy(d, i, j, r1, r2, r3)
     radicand = r1 * r1 - x * x - y * y
     a3 = math.sqrt(radicand) if radicand > 0.0 else 0.0
     return TrilaterationResult(position=Point2(x, y), a3_residual=a3, radicand=radicand)

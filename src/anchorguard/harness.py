@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -95,6 +96,10 @@ _FLOAT_KEYS = (
 )
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One experiment description.
@@ -107,8 +112,9 @@ class ScenarioConfig:
 
     A scenario checks itself when it is built, whether by
     ``parse_scenario``, direct construction or ``dataclasses.replace``,
-    and raises ValidationError for any value out of range, so every
-    scenario that exists is a valid one.
+    and raises ValidationError for any value of the wrong type (a bool
+    is not a number here, and list fields must be tuples) or out of
+    range, so every scenario that exists is a valid one.
     """
 
     area_w: float = 600.0
@@ -128,10 +134,22 @@ class ScenarioConfig:
     cloud_samples: int = 64
 
     def __post_init__(self) -> None:
+        for key in _INT_KEYS:
+            value = getattr(self, key)
+            if not _is_int(value):
+                raise ValidationError(key, f"must be an integer, got {value!r}")
         for key in _FLOAT_KEYS:
             value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
+            if value is None and key == "epsilon":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(key, f"must be a number, got {value!r}")
+            if not math.isfinite(value):
                 raise ValidationError(key, f"must be finite, got {value}")
+        for key in ("n_malicious", "methods"):
+            value = getattr(self, key)
+            if not isinstance(value, tuple):
+                raise ValidationError(key, f"must be a tuple, got {value!r}")
         if self.area_w <= 0 or self.area_h <= 0:
             raise ValidationError("area", f"must be positive, got {self.area_w}x{self.area_h}")
         if self.n_nodes < 4:
@@ -139,6 +157,8 @@ class ScenarioConfig:
         if not self.n_malicious:
             raise ValidationError("n_malicious", "needs at least one value")
         for m in self.n_malicious:
+            if not _is_int(m):
+                raise ValidationError("n_malicious", f"values must be integers, got {m!r}")
             if m < 0 or m >= self.n_nodes:
                 raise ValidationError(
                     "n_malicious", f"each value needs 0 <= value < n_nodes, got {m}"
@@ -178,7 +198,7 @@ class ScenarioConfig:
         return max(1.0, 10.0 * self.sigma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricsRecord:
     """One CSV row."""
 

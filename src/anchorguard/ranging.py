@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -69,3 +70,29 @@ def measure(true_d: float, model: RangingModel, rng: np.random.Generator) -> flo
         noisy = true_d + rng.normal(0.0, model.sigma)
         return noisy if noisy > 0.0 else 0.0
     return true_d * math.exp(rng.normal(0.0, model.sigma))
+
+
+def measure_block(
+    true_ds: Sequence[float], model: RangingModel, rng: np.random.Generator, rows: int
+) -> np.ndarray:
+    """``rows`` rounds of measurements of each distance in ``true_ds``.
+
+    Returns a ``(rows, len(true_ds))`` array equal, bit for bit, to
+    calling ``measure`` row by row and distance by distance, and leaves
+    ``rng`` in the same state: the noise is one ``normal`` block, which
+    yields the same values in the same order as that many scalar draws.
+    Exact ranging draws nothing.
+    """
+    shape = (rows, len(true_ds))
+    if model.kind == "exact":
+        return np.broadcast_to(np.array(true_ds, dtype=float), shape)
+    noise = rng.normal(0.0, model.sigma, size=shape)
+    if model.kind == "gaussian":
+        noisy = np.array(true_ds, dtype=float) + noise
+        return np.where(noisy > 0.0, noisy, 0.0)
+    # np.exp and math.exp round differently on a few percent of inputs,
+    # so the multiplicative factor is taken per element as ``measure`` does.
+    return np.array(
+        [[t * math.exp(z) for t, z in zip(true_ds, row)] for row in noise.tolist()],
+        dtype=float,
+    ).reshape(shape)

@@ -271,6 +271,104 @@ def test_neighbor_groups_skip_inactive(two_group_net):
     assert neighbor_groups(net, 0) == []
 
 
+def _scanned_neighbors(net, group_id):
+    """``neighbor_groups`` as a scan of every group, for comparison."""
+    own = net.group(group_id)
+    found = sorted(
+        (true_distance(own.trilateration_point, g.trilateration_point), g.id)
+        for g in net.groups
+        if g.id != group_id
+        and g.active
+        and true_distance(own.trilateration_point, g.trilateration_point) <= net.comm_radius
+    )
+    return [gid for _, gid in found]
+
+
+def _centered_network(centers, active, comm_radius):
+    """Groups with a fixed right-triangle triple around each center."""
+    triple = [(-10.0, -10.0), (20.0, -10.0), (-10.0, 20.0)]
+    net = hand_network(
+        [([Point2(x + dx, y + dy) for dx, dy in triple], Point2(x, y)) for x, y in centers],
+        comm_radius=comm_radius,
+    )
+    groups = tuple(replace(g, active=a) for g, a in zip(net.groups, active))
+    return replace(net, groups=groups)
+
+
+@st.composite
+def _center_sets(draw):
+    """Group centers with some pairs exactly (or one ulp off) the comm
+    radius apart and some at equal distances from an earlier center."""
+    radius = draw(st.sampled_from([50.0, 70.0, 150.0]))
+    coord = st.one_of(
+        st.floats(0.0, 400.0, allow_nan=False),
+        st.integers(0, 8).map(lambda k: k * 50.0),
+    )
+    centers = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=12))
+    over = math.nextafter(radius, math.inf)
+    offsets = st.sampled_from(
+        [(radius, 0.0), (-radius, 0.0), (0.0, radius), (0.0, over), (over, 0.0),
+         (0.6 * radius, 0.8 * radius), (-0.8 * radius, 0.6 * radius),
+         (30.0, 40.0), (-30.0, -40.0), (40.0, -30.0)]
+    )
+    for i, (dx, dy) in draw(
+        st.lists(st.tuples(st.integers(0, len(centers) - 1), offsets), max_size=12)
+    ):
+        x, y = centers[i]
+        centers.append((x + dx, y + dy))
+    centers = draw(st.permutations(centers))
+    active = draw(st.lists(st.booleans(), min_size=len(centers), max_size=len(centers)))
+    return centers, active, radius
+
+
+@settings(deadline=None)
+@given(_center_sets())
+def test_neighbor_groups_match_linear_scan(case):
+    centers, active, radius = case
+    net = _centered_network(centers, active, radius)
+    for g in net.groups:
+        assert neighbor_groups(net, g.id) == _scanned_neighbors(net, g.id)
+
+
+@pytest.mark.parametrize("comm_radius", [70.0, 150.0])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_neighbor_groups_match_linear_scan_on_deployments(seed, comm_radius):
+    net = deploy((600.0, 600.0), 122, np.random.default_rng(seed), comm_radius)
+    for g in net.groups:
+        assert neighbor_groups(net, g.id) == _scanned_neighbors(net, g.id)
+
+
+def test_neighbor_groups_radius_is_inclusive():
+    # 3-4-5 and axis offsets land exactly on the radius; one ulp more
+    # is out.  Groups 1 and 2 tie at 150 m from group 0, so ids order them.
+    over = math.nextafter(150.0, math.inf)
+    net = _centered_network(
+        [(0.0, 0.0), (150.0, 0.0), (90.0, 120.0), (0.0, over), (-over, 0.0)],
+        [True] * 5,
+        150.0,
+    )
+    assert neighbor_groups(net, 0) == [1, 2]
+    assert 0 not in neighbor_groups(net, 3)
+    assert 0 not in neighbor_groups(net, 4)
+
+
+def test_neighbor_groups_of_inactive_group():
+    net = _centered_network([(0.0, 0.0), (50.0, 0.0), (0.0, 50.0)], [False, True, False], 150.0)
+    assert neighbor_groups(net, 0) == [1]
+    assert neighbor_groups(net, 1) == []
+    assert neighbor_groups(net, 2) == [1]
+
+
+def test_neighbor_groups_unknown_group(two_group_net):
+    with pytest.raises(UnknownGroup):
+        neighbor_groups(two_group_net, 99)
+
+
+def test_neighbor_groups_returns_a_fresh_list(two_group_net):
+    neighbor_groups(two_group_net, 0).clear()
+    assert neighbor_groups(two_group_net, 0) == [1]
+
+
 def test_serialize_parse_round_trip(deployed_net):
     text = serialize_network(deployed_net, seed=5)
     back = parse_network(text)

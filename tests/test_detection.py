@@ -15,8 +15,8 @@ from anchorguard.detection import (
     relocalization_cloud,
     run_detection,
 )
-from anchorguard.geometry import Point2
-from anchorguard.ranging import RangingModel, true_distance
+from anchorguard.geometry import Point2, trilaterate
+from anchorguard.ranging import RangingModel, measure, true_distance
 from conftest import hand_network
 
 EXACT = RangingModel.exact()
@@ -271,6 +271,48 @@ def test_relocalization_cloud_scatters_with_noise(two_group_net):
     assert len(cloud) == 64
     assert max(spread) > 0.0
     assert sum(spread) / len(spread) < 10.0
+
+
+def _scalar_cloud(net, reference, verifier_group_id, model, rng, samples):
+    """One ``measure`` per range and one ``trilaterate`` per fix, in the
+    order the batched cloud must reproduce."""
+    v_pts = [net.node(i).true_pos for i in net.group(verifier_group_id).founding_ids]
+    cloud, ranges_seen = [], []
+    for _ in range(samples):
+        ranges = [measure(true_distance(p, reference), model, rng) for p in v_pts]
+        ranges_seen.extend(ranges)
+        cloud.append(trilaterate(v_pts, ranges).position)
+    return cloud, ranges_seen
+
+
+@pytest.mark.parametrize(
+    "model",
+    [EXACT, RangingModel.gaussian(0.5), RangingModel.gaussian(3.0), RangingModel.lognormal(0.05)],
+    ids=["exact", "gaussian", "gaussian-wide", "lognormal"],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_relocalization_cloud_matches_scalar_loop(deployed_net, model, seed):
+    for gid in (0, 7, 19):
+        verifier = neighbor_groups(deployed_net, gid)[0]
+        for member_id in deployed_net.group(gid).member_ids:
+            ref = cross_reference(deployed_net, member_id, verifier)
+            scalar_rng = np.random.default_rng(seed)
+            expected, _ = _scalar_cloud(deployed_net, ref, verifier, model, scalar_rng, 64)
+            rng = np.random.default_rng(seed)
+            assert relocalization_cloud(deployed_net, ref, verifier, model, rng, 64) == expected
+            # Both leave the stream where the next suspect's cloud starts.
+            assert rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def test_relocalization_cloud_matches_scalar_loop_when_clamped(two_group_net):
+    # A reference 0.3 m from a verifier founder: at sigma 1 the additive
+    # noise drives that range below zero in about a third of the draws.
+    model = RangingModel.gaussian(1.0)
+    ref = Point2(0.3, 0.0)
+    expected, ranges = _scalar_cloud(two_group_net, ref, 0, model, np.random.default_rng(4), 64)
+    assert ranges.count(0.0) > 5
+    cloud = relocalization_cloud(two_group_net, ref, 0, model, np.random.default_rng(4), 64)
+    assert cloud == expected
 
 
 def test_quarantine_noop(deployed_net):

@@ -173,6 +173,43 @@ def test_validation_rejects_non_finite(key, value, monkeypatch):
             build()
 
 
+@pytest.mark.parametrize(
+    "fields, field",
+    [
+        ({"n_malicious": [2]}, "n_malicious"),
+        ({"n_malicious": (2.0,)}, "n_malicious"),
+        ({"n_malicious": (True,)}, "n_malicious"),
+        ({"methods": ["trilateration_only"]}, "methods"),
+        ({"methods": "trilateration_only"}, "methods"),
+        ({"trials": 1.5}, "trials"),
+        ({"n_nodes": 10.5}, "n_nodes"),
+        ({"n_nodes": True}, "n_nodes"),
+        ({"master_seed": "7"}, "master_seed"),
+        ({"cloud_samples": 64.0}, "cloud_samples"),
+        ({"sigma": "0.5"}, "sigma"),
+        ({"alpha": True}, "alpha"),
+        ({"area_w": None}, "area_w"),
+        ({"epsilon": "3"}, "epsilon"),
+        ({"comm_radius": [70.0]}, "comm_radius"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else repr(next(iter(v.values()))),
+)
+def test_validation_rejects_wrong_types(fields, field):
+    # Only code can build these; a document or a CLI flag is parsed
+    # into the right types first.
+    with pytest.raises(ValidationError, match=f"^{field}:"):
+        ScenarioConfig(**fields)
+    with pytest.raises(ValidationError, match=f"^{field}:"):
+        replace(ScenarioConfig(), **fields)
+
+
+def test_validation_accepts_numpy_and_int_numbers():
+    cfg = ScenarioConfig(
+        n_nodes=np.int64(122), n_malicious=(np.int64(4),), area_w=600, sigma=np.float64(0.5)
+    )
+    assert cfg.n_nodes == 122 and cfg.area_w == 600.0
+
+
 def test_validate_rejects_empty_methods():
     # A document cannot list no methods; only code can build one so.
     with pytest.raises(ValidationError, match="methods"):
@@ -358,3 +395,41 @@ def test_golden_sweep_digest():
     text = emit_csv(run_sweep(GOLDEN_CFG))
     stripped = "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
     assert hashlib.sha256(stripped.encode()).hexdigest() == GOLDEN_SHA256
+
+
+# Stripped-CSV digests of sweeps the golden one does not reach: the two
+# other ranging kinds, and a 1200 m field of 488 nodes with the default
+# comm radius.  Taken before the confirmation cloud was batched and the
+# neighbor lists cached; both changes must leave every byte in place.
+KIND_DIGESTS = {
+    "lognormal": (
+        ScenarioConfig(
+            ranging="lognormal", sigma=0.01, comm_radius=70.0, n_malicious=(4, 12), trials=3
+        ),
+        "7462964073a24cb52e64ed7cdf4cb453ff11f2239c36dc76e600024189669439",
+    ),
+    "exact": (
+        ScenarioConfig(ranging="exact", comm_radius=70.0, n_malicious=(4, 12), trials=3),
+        "b94b2ab381715c1d1881eaa3d6a9dfd44bc063270435c00b531d6a548b3be910",
+    ),
+    "dense-488": (
+        ScenarioConfig(
+            area_w=1200.0,
+            area_h=1200.0,
+            n_nodes=488,
+            sigma=0.5,
+            comm_radius=150.0,
+            n_malicious=(12, 40),
+            trials=3,
+        ),
+        "b83afadfc5e7c74da9ec9362a00e30827d1f83148fb995d3a5032cba33c62fc1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KIND_DIGESTS))
+def test_sweep_digest(name):
+    cfg, expected = KIND_DIGESTS[name]
+    text = emit_csv(run_sweep(cfg))
+    stripped = "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
+    assert hashlib.sha256(stripped.encode()).hexdigest() == expected

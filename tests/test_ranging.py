@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anchorguard.geometry import Point2
-from anchorguard.ranging import RangingModel, measure, true_distance
+from anchorguard.ranging import RangingModel, measure, measure_block, true_distance
 
 
 def test_true_distance_345():
@@ -84,3 +84,24 @@ def test_negative_sigma_rejected():
     for sigma in (-0.5, math.inf, math.nan):
         with pytest.raises(ValueError):
             RangingModel.gaussian(sigma)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        RangingModel.exact(),
+        RangingModel.gaussian(0.0),
+        RangingModel.gaussian(2.0),
+        RangingModel.lognormal(0.3),
+    ],
+    ids=["exact", "gaussian-0", "gaussian", "lognormal"],
+)
+def test_measure_block_matches_scalar_draws(model):
+    true_ds = [0.0, 0.5, 47.25]
+    scalar_rng = np.random.default_rng(9)
+    expected = [[measure(d, model, scalar_rng) for d in true_ds] for _ in range(200)]
+    rng = np.random.default_rng(9)
+    block = measure_block(true_ds, model, rng, 200)
+    assert block.shape == (200, 3)
+    assert block.tolist() == expected
+    assert rng.bit_generator.state == scalar_rng.bit_generator.state
