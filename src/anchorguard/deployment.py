@@ -9,6 +9,11 @@ the new group's trilateration point, again guaranteeing a radio at the
 center.  Placement keeps repeating until the target count is reached;
 one or two leftover anchors are attached to their nearest group.
 
+Each placement attempt draws its offsets' radii and angles as one block
+(``_annulus_offsets``), with numpy's own ``uniform`` formula applied in
+Python, so every offset and the stream left behind are those of one
+scalar ``rng.uniform`` per value.
+
 Placement files what it has put down in uniform grids (``_Grid``): node
 positions with cells a little wider than ``MIN_NODE_SEPARATION``, and
 nodes and group centers with cells a little wider than
@@ -29,7 +34,9 @@ from installation positions, which never change.  Stage 2 needs only
 the few that belong to members of failed groups.
 
 Group adjacency, the ``neighbor_groups`` lists, is computed once per
-``Network``, on first use, for every group at once.
+``Network``, on first use, for every group at once: with group centers
+sorted by x, each center is compared only with the centers whose x lies
+within the comm radius of its own.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -115,7 +121,6 @@ class AnchorGroup:
     id: int
     member_ids: tuple[int, ...]
     trilateration_point: Point2
-    active: bool = True
 
     @property
     def founding_ids(self) -> tuple[int, int, int]:
@@ -149,23 +154,28 @@ class Network:
 
     @cached_property
     def _adjacency(self) -> dict[int, list[int]]:
-        """Every group's ``neighbor_groups`` list, from one pass over
-        group pairs.  A pair's distance is the ``true_distance`` of its
-        centers, computed once for both ends: negating both differences
-        leaves ``math.hypot`` unchanged to the last bit."""
+        """Every group's ``neighbor_groups`` list.  Group centers are
+        sorted by x, and each center is tested only against the later
+        centers whose x lies within the comm radius of its own: ``hypot``
+        is never below its x difference, so no pair past that point can
+        be in range.  Each pair is measured once, for both ends, with the
+        ``math.hypot`` distance and ``<=`` test a scan of every pair would
+        use; negating both differences leaves ``hypot`` unchanged to the
+        last bit."""
+        radius = self.comm_radius
+        hypot = math.hypot
         found: dict[int, list[tuple[float, int]]] = {g.id: [] for g in self.groups}
-        centers = [
-            (g.id, g.active, g.trilateration_point.x, g.trilateration_point.y)
-            for g in self.groups
-        ]
-        for k, (a, a_active, ax, ay) in enumerate(centers):
-            for b, b_active, bx, by in centers[k + 1 :]:
-                dist = math.hypot(ax - bx, ay - by)
-                if dist <= self.comm_radius:
-                    if b_active:
-                        found[a].append((dist, b))
-                    if a_active:
-                        found[b].append((dist, a))
+        by_x = sorted(
+            (g.trilateration_point.x, g.trilateration_point.y, g.id) for g in self.groups
+        )
+        for k, (ax, ay, a) in enumerate(by_x):
+            for bx, by, b in by_x[k + 1 :]:
+                if bx - ax > radius:
+                    break
+                dist = hypot(ax - bx, ay - by)
+                if dist <= radius:
+                    found[a].append((dist, b))
+                    found[b].append((dist, a))
         return {gid: [i for _, i in sorted(pairs)] for gid, pairs in found.items()}
 
     def node(self, node_id: int) -> AnchorNode:
@@ -194,19 +204,35 @@ def _triangle_ok(pts: list[tuple[float, float]]) -> bool:
     return 0.5 * area2 >= MIN_GROUP_AREA
 
 
-def _annulus_offset(rng: np.random.Generator, r_min: float, r_max: float) -> tuple[float, float]:
-    r = rng.uniform(r_min, r_max)
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    return r * math.cos(theta), r * math.sin(theta)
+def _annulus_offsets(
+    rng: np.random.Generator, count: int, r_min: float, r_max: float
+) -> list[tuple[float, float]]:
+    """``count`` offsets at a radius in [r_min, r_max) and an angle in
+    [0, 2 pi), from one block of ``2 * count`` draws.
+
+    ``low + (high - low) * u`` is the formula numpy's ``uniform`` applies
+    to each draw ``u``, so the offsets and the stream left behind are
+    those of alternating scalar ``rng.uniform(r_min, r_max)`` and
+    ``rng.uniform(0.0, 2.0 * math.pi)`` calls.
+    """
+    u = rng.random(2 * count).tolist()
+    span = r_max - r_min
+    offsets = []
+    for k in range(0, 2 * count, 2):
+        r = r_min + span * u[k]
+        theta = 2.0 * math.pi * u[k + 1]
+        offsets.append((r * math.cos(theta), r * math.sin(theta)))
+    return offsets
 
 
 def _first_triple(area: tuple[float, float], rng: np.random.Generator) -> list[tuple[float, float]]:
     for _ in range(MAX_GROUP_ATTEMPTS):
-        x0 = rng.uniform(0.0, area[0])
-        y0 = rng.uniform(0.0, area[1])
+        # ``rng.uniform(0.0, w)`` is ``0.0 + w * u``, and adding 0.0
+        # leaves the product unchanged.
+        ux, uy = rng.random(2).tolist()
+        x0, y0 = area[0] * ux, area[1] * uy
         pts = [(x0, y0)]
-        for _ in range(2):
-            dx, dy = _annulus_offset(rng, FIRST_SPACING_MIN, FIRST_SPACING_MAX)
+        for dx, dy in _annulus_offsets(rng, 2, FIRST_SPACING_MIN, FIRST_SPACING_MAX):
             pts.append((x0 + dx, y0 + dy))
         if all(_in_area(x, y, area) for x, y in pts) and _triangle_ok(pts):
             return pts
@@ -219,8 +245,9 @@ class _Grid:
     Cells are a little wider than ``radius``, so every stored point
     within ``radius`` of a query point sits in the 3x3 block of cells
     around the query's own cell, even after ``x / cell`` is rounded.
-    ``near`` yields the items of that block: a superset of the points in
-    range, which callers filter with their own exact distance test.
+    ``near`` returns the items of that block as one list: a superset of
+    the points in range, which callers filter with their own exact
+    distance test.
     """
 
     def __init__(self, radius: float):
@@ -231,20 +258,25 @@ class _Grid:
         key = (math.floor(x / self.cell), math.floor(y / self.cell))
         self.cells.setdefault(key, []).append(item)
 
-    def near(self, x: float, y: float) -> Iterator:
+    def near(self, x: float, y: float) -> list:
         kx = math.floor(x / self.cell)
         ky = math.floor(y / self.cell)
+        get = self.cells.get
+        items: list = []
         for i in (kx - 1, kx, kx + 1):
-            for j in (ky - 1, ky, ky + 1):
-                yield from self.cells.get((i, j), ())
+            items += get((i, ky - 1), ())
+            items += get((i, ky), ())
+            items += get((i, ky + 1), ())
+        return items
 
 
 def _clear_of(pts: list[tuple[float, float]], placed: _Grid) -> bool:
     """True when no point of ``placed`` lies within MIN_NODE_SEPARATION
     of any of ``pts``; ``placed`` holds (x, y) items."""
+    hypot = math.hypot
     for x, y in pts:
         for ex, ey in placed.near(x, y):
-            if math.hypot(x - ex, y - ey) < MIN_NODE_SEPARATION:
+            if hypot(x - ex, y - ey) < MIN_NODE_SEPARATION:
                 return False
     return True
 
@@ -292,7 +324,7 @@ def _triple_around(
     Returns None when the candidate violates area, geometry, or node
     separation limits.
     """
-    offsets = [_annulus_offset(rng, GROUP_RADIUS_MIN, GROUP_RADIUS_MAX) for _ in range(3)]
+    offsets = _annulus_offsets(rng, 3, GROUP_RADIUS_MIN, GROUP_RADIUS_MAX)
     mx = sum(o[0] for o in offsets) / 3.0
     my = sum(o[1] for o in offsets) / 3.0
     pts = [(center[0] + ox - mx, center[1] + oy - my) for ox, oy in offsets]
@@ -371,7 +403,7 @@ def deploy(
                 size = min(SEED_CANDIDATES, len(eligible))
                 picks = rng.choice(len(eligible), size=size, replace=False)
                 seed_idx = min(
-                    (eligible[int(i)] for i in picks), key=crowding.counts.__getitem__
+                    [eligible[i] for i in picks.tolist()], key=crowding.counts.__getitem__
                 )
             else:
                 seed_idx = eligible[int(rng.integers(len(eligible)))]
@@ -395,7 +427,7 @@ def deploy(
         spot = None
         for _ in range(MAX_GROUP_ATTEMPTS):
             seed_idx = int(rng.integers(0, len(positions)))
-            dx, dy = _annulus_offset(rng, GROUP_RADIUS_MIN, GROUP_RADIUS_MAX)
+            dx, dy = _annulus_offsets(rng, 1, GROUP_RADIUS_MIN, GROUP_RADIUS_MAX)[0]
             cand = (positions[seed_idx][0] + dx, positions[seed_idx][1] + dy)
             if _in_area(cand[0], cand[1], area) and _clear_of([cand], placed):
                 spot = cand
@@ -439,12 +471,12 @@ def deploy(
 def neighbor_groups(net: Network, group_id: int) -> list[int]:
     """Groups whose trilateration points lie within the comm radius.
 
-    Sorted nearest first, ties broken by id.  The group itself and
-    inactive other groups are excluded; an inactive group still lists
-    its active neighbors.  A network builds the lists of all its groups
-    on the first call, in one pass over group pairs with the same
-    ``math.hypot`` distance and ``<=`` test a scan would use; every call
-    returns a fresh copy of one list.
+    Sorted nearest first, ties broken by id; the group itself is
+    excluded.  A network builds the lists of all its groups on the first
+    call, comparing each center only with the centers in a band of x
+    around it, with the same ``math.hypot`` distance and ``<=`` test a
+    scan of every pair would use; every call returns a fresh copy of one
+    list.
 
     Raises:
         UnknownGroup: if ``group_id`` is not in the network.

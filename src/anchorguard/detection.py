@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -262,8 +262,6 @@ def run_detection(
     passing = set()
     failed = []
     for g in net.groups:
-        if not g.active:
-            continue
         result = group_check(net, g.id, epsilon, model, rng)
         checks.append(result)
         if result.passed:
@@ -327,20 +325,3 @@ def relocalization_cloud(
     wx, wy = frame.world_xy(x, y)
     return [Point2(px, py) for px, py in zip(wx.tolist(), wy.tolist())]
 
-
-def quarantine(net: Network, flagged_ids: frozenset[int] | set[int]) -> Network:
-    """Remove flagged anchors from service.
-
-    Flagged nodes are dropped, and any group left with fewer than three
-    members or with a hole in its founding triple is marked inactive
-    (it can no longer be re-checked as built).
-    """
-    flagged = set(flagged_ids)
-    kept_nodes = tuple(n for n in net.nodes if n.id not in flagged)
-    new_groups = []
-    for g in net.groups:
-        remaining = tuple(i for i in g.member_ids if i not in flagged)
-        founding_intact = all(i not in flagged for i in g.founding_ids)
-        active = g.active and len(remaining) >= 3 and founding_intact
-        new_groups.append(replace(g, member_ids=remaining, active=active))
-    return replace(net, nodes=kept_nodes, groups=tuple(new_groups))

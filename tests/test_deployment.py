@@ -12,6 +12,11 @@ from hypothesis import strategies as st
 from anchorguard.attack import AttackSpec, FixedOffset, SpecificIds, compromise
 from anchorguard.deployment import (
     CROWDING_RADIUS,
+    FIRST_SPACING_MAX,
+    FIRST_SPACING_MIN,
+    GROUP_RADIUS_MAX,
+    GROUP_RADIUS_MIN,
+    MAX_GROUP_ATTEMPTS,
     MIN_NODE_SEPARATION,
     DeploymentFailure,
     UnknownGroup,
@@ -21,9 +26,12 @@ from anchorguard.deployment import (
     neighbor_groups,
     parse_network,
     serialize_network,
+    _annulus_offsets,
     _clear_of,
     _Crowding,
+    _first_triple,
     _Grid,
+    _triangle_ok,
 )
 from anchorguard.geometry import DegenerateGeometry, Point2
 from anchorguard.ranging import true_distance
@@ -112,6 +120,57 @@ def test_placement_digest(area, n_nodes, seed):
     net = deploy((area, area), n_nodes, np.random.default_rng(seed))
     digest = hashlib.sha256(serialize_network(net).encode()).hexdigest()
     assert digest == PLACEMENT_DIGESTS[(area, n_nodes, seed)]
+
+
+def _scalar_offset(rng, r_min, r_max):
+    """One annulus offset from two scalar ``rng.uniform`` draws."""
+    r = rng.uniform(r_min, r_max)
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    return r * math.cos(theta), r * math.sin(theta)
+
+
+# The block draw reproduces scalar ``uniform`` only while numpy computes
+# it as ``low + (high - low) * u`` without a fused multiply-add; these
+# pin that, and the placement digests are the backstop.
+@pytest.mark.parametrize(
+    "r_min, r_max",
+    [(GROUP_RADIUS_MIN, GROUP_RADIUS_MAX), (FIRST_SPACING_MIN, FIRST_SPACING_MAX)],
+)
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_annulus_offsets_match_scalar_draws(count, r_min, r_max):
+    for seed in range(2000):
+        scalar_rng = np.random.default_rng(seed)
+        expected = [_scalar_offset(scalar_rng, r_min, r_max) for _ in range(count)]
+        rng = np.random.default_rng(seed)
+        assert _annulus_offsets(rng, count, r_min, r_max) == expected
+        assert rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def _scalar_first_triple(area, rng):
+    """``_first_triple`` with one scalar ``rng.uniform`` per value."""
+    for _ in range(MAX_GROUP_ATTEMPTS):
+        x0 = rng.uniform(0.0, area[0])
+        y0 = rng.uniform(0.0, area[1])
+        pts = [(x0, y0)]
+        for _ in range(2):
+            dx, dy = _scalar_offset(rng, FIRST_SPACING_MIN, FIRST_SPACING_MAX)
+            pts.append((x0 + dx, y0 + dy))
+        if all(0.0 <= x <= area[0] and 0.0 <= y <= area[1] for x, y in pts) and _triangle_ok(pts):
+            return pts
+    raise AssertionError("no first triple")
+
+
+# A narrow strip rejects most attempts, so later attempts are compared too.
+@pytest.mark.parametrize(
+    "area", [(600.0, 600.0), (1200.0, 1200.0), (140.0, 90.0)], ids=["600m", "1200m", "strip"]
+)
+def test_first_triple_matches_scalar_draws(area):
+    for seed in range(2000):
+        scalar_rng = np.random.default_rng(seed)
+        expected = _scalar_first_triple(area, scalar_rng)
+        rng = np.random.default_rng(seed)
+        assert _first_triple(area, rng) == expected
+        assert rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
 @st.composite
@@ -263,14 +322,6 @@ def test_neighbor_groups_sorted_nearest_first():
     assert neighbor_groups(net, 0) == [2, 1]
 
 
-def test_neighbor_groups_skip_inactive(two_group_net):
-    groups = tuple(
-        replace(g, active=False) if g.id == 1 else g for g in two_group_net.groups
-    )
-    net = replace(two_group_net, groups=groups)
-    assert neighbor_groups(net, 0) == []
-
-
 def _scanned_neighbors(net, group_id):
     """``neighbor_groups`` as a scan of every group, for comparison."""
     own = net.group(group_id)
@@ -278,28 +329,27 @@ def _scanned_neighbors(net, group_id):
         (true_distance(own.trilateration_point, g.trilateration_point), g.id)
         for g in net.groups
         if g.id != group_id
-        and g.active
         and true_distance(own.trilateration_point, g.trilateration_point) <= net.comm_radius
     )
     return [gid for _, gid in found]
 
 
-def _centered_network(centers, active, comm_radius):
+def _centered_network(centers, comm_radius):
     """Groups with a fixed right-triangle triple around each center."""
     triple = [(-10.0, -10.0), (20.0, -10.0), (-10.0, 20.0)]
-    net = hand_network(
+    return hand_network(
         [([Point2(x + dx, y + dy) for dx, dy in triple], Point2(x, y)) for x, y in centers],
         comm_radius=comm_radius,
     )
-    groups = tuple(replace(g, active=a) for g, a in zip(net.groups, active))
-    return replace(net, groups=groups)
 
 
 @st.composite
 def _center_sets(draw):
     """Group centers with some pairs exactly (or one ulp off) the comm
-    radius apart and some at equal distances from an earlier center."""
-    radius = draw(st.sampled_from([50.0, 70.0, 150.0]))
+    radius apart and some at equal distances from an earlier center.  A
+    fixture may carry a zero comm radius, which leaves only coincident
+    centers as neighbors."""
+    radius = draw(st.sampled_from([0.0, 50.0, 70.0, 150.0]))
     coord = st.one_of(
         st.floats(0.0, 400.0, allow_nan=False),
         st.integers(0, 8).map(lambda k: k * 50.0),
@@ -316,24 +366,30 @@ def _center_sets(draw):
     ):
         x, y = centers[i]
         centers.append((x + dx, y + dy))
-    centers = draw(st.permutations(centers))
-    active = draw(st.lists(st.booleans(), min_size=len(centers), max_size=len(centers)))
-    return centers, active, radius
+    return draw(st.permutations(centers)), radius
 
 
 @settings(deadline=None)
 @given(_center_sets())
 def test_neighbor_groups_match_linear_scan(case):
-    centers, active, radius = case
-    net = _centered_network(centers, active, radius)
+    centers, radius = case
+    net = _centered_network(centers, radius)
     for g in net.groups:
         assert neighbor_groups(net, g.id) == _scanned_neighbors(net, g.id)
 
 
-@pytest.mark.parametrize("comm_radius", [70.0, 150.0])
+# 20 m is below the group spacing, 70 and 150 m are the benchmark radii,
+# and 2000 m is wider than the area, so no center is pruned by x.
+@pytest.mark.parametrize("comm_radius", [20.0, 70.0, 150.0, 2000.0])
 @pytest.mark.parametrize("seed", [3, 11])
 def test_neighbor_groups_match_linear_scan_on_deployments(seed, comm_radius):
     net = deploy((600.0, 600.0), 122, np.random.default_rng(seed), comm_radius)
+    for g in net.groups:
+        assert neighbor_groups(net, g.id) == _scanned_neighbors(net, g.id)
+
+
+def test_neighbor_groups_match_linear_scan_on_dense_deployment():
+    net = deploy((1200.0, 1200.0), 488, np.random.default_rng(5), 150.0)
     for g in net.groups:
         assert neighbor_groups(net, g.id) == _scanned_neighbors(net, g.id)
 
@@ -344,19 +400,11 @@ def test_neighbor_groups_radius_is_inclusive():
     over = math.nextafter(150.0, math.inf)
     net = _centered_network(
         [(0.0, 0.0), (150.0, 0.0), (90.0, 120.0), (0.0, over), (-over, 0.0)],
-        [True] * 5,
         150.0,
     )
     assert neighbor_groups(net, 0) == [1, 2]
     assert 0 not in neighbor_groups(net, 3)
     assert 0 not in neighbor_groups(net, 4)
-
-
-def test_neighbor_groups_of_inactive_group():
-    net = _centered_network([(0.0, 0.0), (50.0, 0.0), (0.0, 50.0)], [False, True, False], 150.0)
-    assert neighbor_groups(net, 0) == [1]
-    assert neighbor_groups(net, 1) == []
-    assert neighbor_groups(net, 2) == [1]
 
 
 def test_neighbor_groups_unknown_group(two_group_net):

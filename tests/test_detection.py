@@ -1,4 +1,4 @@
-"""Two-stage detection: group re-checks, suspect isolation, quarantine."""
+"""Two-stage detection: group re-checks, suspect isolation."""
 
 import math
 from dataclasses import replace
@@ -11,7 +11,6 @@ from anchorguard.deployment import cross_reference, deploy, neighbor_groups
 from anchorguard.detection import (
     group_check,
     isolate_suspects,
-    quarantine,
     relocalization_cloud,
     run_detection,
 )
@@ -314,23 +313,3 @@ def test_relocalization_cloud_matches_scalar_loop_when_clamped(two_group_net):
     cloud = relocalization_cloud(two_group_net, ref, 0, model, np.random.default_rng(4), 64)
     assert cloud == expected
 
-
-def test_quarantine_noop(deployed_net):
-    assert quarantine(deployed_net, frozenset()) == deployed_net
-
-
-def test_quarantine_removes_flagged_node(deployed_net):
-    net = quarantine(deployed_net, {7})
-    assert all(n.id != 7 for n in net.nodes)
-    assert all(7 not in g.member_ids for g in net.groups)
-    assert net.references == deployed_net.references
-    other = neighbor_groups(deployed_net, deployed_net.node(7).group_id)[0]
-    with pytest.raises(KeyError):
-        cross_reference(net, 7, other)
-
-
-def test_quarantine_deactivates_gutted_group(deployed_net):
-    victim = deployed_net.group(5)
-    net = quarantine(deployed_net, set(victim.founding_ids))
-    assert not net.group(5).active
-    assert all(g.active for g in net.groups if g.id != 5)
