@@ -63,7 +63,6 @@ class GroundTruth:
     """What actually happened, for scoring only."""
 
     malicious_ids: frozenset[int]
-    original_positions: dict[int, Point2]
 
 
 def _validate(net: Network, spec: AttackSpec) -> None:
@@ -140,14 +139,12 @@ def compromise(
         victim_ids = sorted(all_ids[int(k)] for k in picked)
 
     victims = set(victim_ids)
-    originals: dict[int, Point2] = {}
     new_nodes = []
     for node in net.nodes:
         if node.id in victims:
-            originals[node.id] = node.reported_pos
             fake = _falsified(node.true_pos, spec.displacement, net.area, rng)
             new_nodes.append(replace(node, reported_pos=fake, compromised=True))
         else:
             new_nodes.append(node)
-    truth = GroundTruth(malicious_ids=frozenset(victim_ids), original_positions=originals)
+    truth = GroundTruth(malicious_ids=frozenset(victim_ids))
     return replace(net, nodes=tuple(new_nodes)), truth

@@ -17,13 +17,13 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .attack import AttackSpec, UniformRadial, compromise
-from .deployment import DeploymentFailure, deploy, parse_network, serialize_network
+from .deployment import DeploymentFailure, parse_network, serialize_network
 from .detection import run_detection
 from .harness import (
     SKIPPED,
     ScenarioConfig,
     ValidationError,
+    attacked_network,
     emit_csv,
     parse_scenario,
     run_sweep,
@@ -105,21 +105,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_deploy(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load_config(args.scenario), args)
-    _, (deploy_rng, attack_rng, _, _) = trial_streams(cfg, 0)
-    net = deploy((cfg.area_w, cfg.area_h), cfg.n_nodes, deploy_rng, cfg.comm_radius)
     # The fixture is trial 0 of `run` with the same scenario and seed,
     # attacked with the first sweep value, so a stored network gives
     # `detect` something to find and replays that trial.
     count = cfg.n_malicious[0]
-    if count:
-        net, _ = compromise(
-            net,
-            AttackSpec(
-                count=count,
-                displacement=UniformRadial(cfg.displacement_min, cfg.displacement_max),
-            ),
-            attack_rng,
-        )
+    _, (_, attack_rng, _, _) = trial_streams(cfg, 0)
+    net, _ = attacked_network(cfg, 0, count, attack_rng)
     _write(args.out, serialize_network(net, seed=cfg.master_seed))
     if not args.quiet:
         print(

@@ -25,8 +25,8 @@ network comes out the same to the last bit in near-linear time.
 At the end of placement the network records ``m1``: per group, the
 position recovered by trilaterating the group's founding triple against
 its center distances.  Detection replays it.  It is computed from
-positions as advertised at deployment time, before any node has a
-chance to lie.
+installation positions, which are what every node advertised at
+deployment time, before any node had a chance to lie.
 
 Cross references, an anchor's position as recovered through another
 group's founding triple, are derived on demand by ``cross_reference``
@@ -42,7 +42,8 @@ within the comm radius of its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -98,13 +99,13 @@ class AnchorNode:
 
     ``true_pos`` is where the node physically sits and never changes.
     ``reported_pos`` is the location reference the node advertises; it
-    equals ``true_pos`` until the node is compromised.
+    equals ``true_pos`` until the node is compromised.  The node's group
+    is the one whose ``member_ids`` list it.
     """
 
     id: int
     true_pos: Point2
     reported_pos: Point2
-    group_id: int
     compromised: bool = False
 
 
@@ -128,21 +129,19 @@ class AnchorGroup:
 
 
 @dataclass(frozen=True)
-class ReferenceTable:
-    """Deployment-time localization records held by the central server."""
-
-    m1: dict[int, Point2] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class Network:
-    """An immutable deployed network snapshot."""
+    """An immutable deployed network snapshot.
+
+    ``m1`` is the central server's deployment-time record: per group id,
+    the fix ``build_references`` took of the group's center.  An attack
+    changes what nodes advertise, never ``m1``.
+    """
 
     area: tuple[float, float]
     comm_radius: float
     nodes: tuple[AnchorNode, ...]
     groups: tuple[AnchorGroup, ...]
-    references: ReferenceTable
+    m1: dict[int, Point2]
 
     @cached_property
     def _node_index(self) -> dict[int, AnchorNode]:
@@ -366,14 +365,12 @@ def deploy(
         raise DeploymentFailure(f"area {area} is too small for group placement")
 
     positions: list[tuple[float, float]] = []
-    node_groups: list[int] = []
     groups: list[tuple[int, list[int], tuple[float, float]]] = []
     placed = _Grid(MIN_NODE_SEPARATION)
     crowding = _Crowding()
 
-    def place(pt: tuple[float, float], group_id: int) -> None:
+    def place(pt: tuple[float, float]) -> None:
         positions.append(pt)
-        node_groups.append(group_id)
         placed.add(pt[0], pt[1], pt)
         crowding.add_node(pt[0], pt[1])
 
@@ -383,9 +380,9 @@ def deploy(
         (first[0][1] + first[1][1] + first[2][1]) / 3.0,
     )
     for pt in first:
-        place(pt, 0)
+        place(pt)
     # The inaugural trilateration point gets its own resident node.
-    place(center0, 0)
+    place(center0)
     groups.append((0, [0, 1, 2, 3], center0))
     crowding.add_center(*center0)
 
@@ -418,7 +415,7 @@ def deploy(
         center = positions[seed_idx]
         ids = list(range(len(positions), len(positions) + 3))
         for pt in pts:
-            place(pt, group_id)
+            place(pt)
         eligible.extend(ids)
         groups.append((group_id, ids, center))
         crowding.add_center(*center)
@@ -439,15 +436,10 @@ def deploy(
             key=lambda g: math.hypot(spot[0] - g[2][0], spot[1] - g[2][1]),
         )
         nearest[1].append(len(positions))
-        place(spot, nearest[0])
+        place(spot)
 
     nodes = tuple(
-        AnchorNode(
-            id=idx,
-            true_pos=Point2(x, y),
-            reported_pos=Point2(x, y),
-            group_id=node_groups[idx],
-        )
+        AnchorNode(id=idx, true_pos=Point2(x, y), reported_pos=Point2(x, y))
         for idx, (x, y) in enumerate(positions)
     )
     anchor_groups = tuple(
@@ -458,14 +450,13 @@ def deploy(
         )
         for gid, member_ids, (cx, cy) in groups
     )
-    net = Network(
+    return Network(
         area=(float(area[0]), float(area[1])),
         comm_radius=float(comm_radius),
         nodes=nodes,
         groups=anchor_groups,
-        references=ReferenceTable(),
+        m1=build_references(nodes, anchor_groups),
     )
-    return replace(net, references=build_references(net))
 
 
 def neighbor_groups(net: Network, group_id: int) -> list[int]:
@@ -487,26 +478,30 @@ def neighbor_groups(net: Network, group_id: int) -> list[int]:
         raise UnknownGroup(f"no group with id {group_id}") from None
 
 
-def build_references(net: Network) -> ReferenceTable:
-    """Compute the deployment-time ``m1`` table.
+def build_references(
+    nodes: Iterable[AnchorNode], groups: Iterable[AnchorGroup]
+) -> dict[int, Point2]:
+    """Compute the deployment-time ``m1`` table: per group id, the fix
+    of the group's center through its founding triple.
 
-    Uses advertised positions throughout; run this before any attack so
-    the stored records describe the honest network.
+    Reads installation positions only, as ``cross_reference`` does:
+    ``true_pos`` is what every node advertised at deployment, so the
+    table describes the honest network whatever the nodes advertise now.
 
     Raises:
         DegenerateGeometry: if some group's founding triple is collinear.
     """
+    pos = {n.id: n.true_pos for n in nodes}
     m1: dict[int, Point2] = {}
-    for g in net.groups:
-        triple = [net.node(i) for i in g.founding_ids]
+    for g in groups:
+        triple = [pos[i] for i in g.founding_ids]
         center = g.trilateration_point
-        dists = [true_distance(n.true_pos, center) for n in triple]
+        dists = [true_distance(p, center) for p in triple]
         try:
-            fix = trilaterate([n.reported_pos for n in triple], dists)
+            m1[g.id] = trilaterate(triple, dists)
         except DegenerateGeometry as exc:
             raise DegenerateGeometry(f"group {g.id}: {exc}") from None
-        m1[g.id] = fix.position
-    return ReferenceTable(m1=m1)
+    return m1
 
 
 def cross_reference(net: Network, member_id: int, group_id: int) -> Point2:
@@ -521,7 +516,7 @@ def cross_reference(net: Network, member_id: int, group_id: int) -> Point2:
     verifiers = [net.node(i) for i in net.group(group_id).founding_ids]
     member = net.node(member_id)
     dists = [true_distance(v.true_pos, member.true_pos) for v in verifiers]
-    return trilaterate([v.true_pos for v in verifiers], dists).position
+    return trilaterate([v.true_pos for v in verifiers], dists)
 
 
 def serialize_network(net: Network, seed: int = 0) -> str:
@@ -530,8 +525,10 @@ def serialize_network(net: Network, seed: int = 0) -> str:
     Header lines are ``key=value``; then one line per node
     ``id,true_x,true_y,reported_x,reported_y,group_id,compromised``
     and one line per group ``group_id,member_ids;t_x,t_y`` with member
-    ids space separated.  Floats use shortest round-trip notation.
+    ids space separated.  A node's ``group_id`` is the group that lists
+    it.  Floats use shortest round-trip notation.
     """
+    owner = {i: g.id for g in net.groups for i in g.member_ids}
     lines = [
         f"area_w={net.area[0]!r}",
         f"area_h={net.area[1]!r}",
@@ -544,7 +541,7 @@ def serialize_network(net: Network, seed: int = 0) -> str:
         lines.append(
             f"{n.id},{n.true_pos.x!r},{n.true_pos.y!r},"
             f"{n.reported_pos.x!r},{n.reported_pos.y!r},"
-            f"{n.group_id},{1 if n.compromised else 0}"
+            f"{owner[n.id]},{1 if n.compromised else 0}"
         )
     for g in net.groups:
         members = " ".join(str(i) for i in g.member_ids)
@@ -570,9 +567,12 @@ def parse_network(text: str) -> Network:
 
     Raises:
         ValueError: on any structural problem in the fixture, including
-            non-finite coordinates or header values, duplicate node or
-            group ids, and groups that name unknown nodes or have fewer
-            than three members.
+            non-finite coordinates or header values, an area or comm
+            radius that is not positive, duplicate node or group ids,
+            groups that name unknown nodes or have fewer than three
+            members, a node that no group or two groups list, and a node
+            whose ``group_id`` column names another group than the one
+            that lists it.
     """
     raw = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in raw if ln and not ln.startswith("#")]
@@ -592,6 +592,10 @@ def parse_network(text: str) -> Network:
         n_groups = int(header["n_groups"])
     except ValueError as exc:
         raise ValueError(f"bad network fixture header: {exc}") from None
+    if area[0] <= 0.0 or area[1] <= 0.0:
+        raise ValueError(f"area must be positive, got {area[0]}x{area[1]}")
+    if comm_radius <= 0.0:
+        raise ValueError(f"comm_radius must be > 0, got {comm_radius}")
 
     body = lines[idx:]
     if len(body) != n_nodes + n_groups:
@@ -600,22 +604,25 @@ def parse_network(text: str) -> Network:
         )
 
     nodes = []
+    columns: dict[int, int] = {}
     for ln in body[:n_nodes]:
         parts = ln.split(",")
         if len(parts) != 7:
             raise ValueError(f"bad node line: {ln!r}")
         try:
-            nodes.append(
-                AnchorNode(
-                    id=int(parts[0]),
-                    true_pos=Point2(_finite(parts[1]), _finite(parts[2])),
-                    reported_pos=Point2(_finite(parts[3]), _finite(parts[4])),
-                    group_id=int(parts[5]),
-                    compromised=bool(int(parts[6])),
-                )
+            node = AnchorNode(
+                id=int(parts[0]),
+                true_pos=Point2(_finite(parts[1]), _finite(parts[2])),
+                reported_pos=Point2(_finite(parts[3]), _finite(parts[4])),
+                compromised=bool(int(parts[6])),
             )
+            column = int(parts[5])
         except ValueError as exc:
             raise ValueError(f"bad node line {ln!r}: {exc}") from None
+        if node.id in columns:
+            raise ValueError(f"duplicate node id {node.id}")
+        columns[node.id] = column
+        nodes.append(node)
 
     groups = []
     for ln in body[n_nodes:]:
@@ -637,11 +644,7 @@ def parse_network(text: str) -> Network:
         except ValueError as exc:
             raise ValueError(f"bad group line {ln!r}: {exc}") from None
 
-    known: set[int] = set()
-    for n in nodes:
-        if n.id in known:
-            raise ValueError(f"duplicate node id {n.id}")
-        known.add(n.id)
+    owner: dict[int, int] = {}
     group_ids: set[int] = set()
     for g in groups:
         if g.id in group_ids:
@@ -649,19 +652,25 @@ def parse_network(text: str) -> Network:
         group_ids.add(g.id)
         if len(g.member_ids) < 3:
             raise ValueError(f"group {g.id} has fewer than three members")
-        unknown = [i for i in g.member_ids if i not in known]
+        unknown = [i for i in g.member_ids if i not in columns]
         if unknown:
             raise ValueError(f"group {g.id} names unknown node ids {unknown}")
+        for i in g.member_ids:
+            if i in owner:
+                raise ValueError(f"node {i} is listed by groups {owner[i]} and {g.id}")
+            owner[i] = g.id
+    for i, column in columns.items():
+        if i not in owner:
+            raise ValueError(f"node {i} is listed by no group")
+        if column != owner[i]:
+            raise ValueError(
+                f"node {i} has group_id {column} but is listed by group {owner[i]}"
+            )
 
-    pristine = tuple(
-        replace(n, reported_pos=n.true_pos, compromised=False) for n in nodes
-    )
-    skeleton = Network(
+    return Network(
         area=area,
         comm_radius=comm_radius,
-        nodes=pristine,
+        nodes=tuple(nodes),
         groups=tuple(groups),
-        references=ReferenceTable(),
+        m1=build_references(nodes, groups),
     )
-    references = build_references(skeleton)
-    return replace(skeleton, nodes=tuple(nodes), references=references)

@@ -138,7 +138,7 @@ def group_check(
     states model two separate verification rounds.
     """
     group = net.group(group_id)
-    stored = net.references.m1[group.id]
+    stored = net.m1[group.id]
     center = group.trilateration_point
     founding = [net.node(i) for i in group.founding_ids]
 
@@ -175,7 +175,7 @@ def group_check(
             meas = measure(
                 true_distance(other.trilateration_point, node.true_pos), model, rng
             )
-            claim = true_distance(node.reported_pos, net.references.m1[gid])
+            claim = true_distance(node.reported_pos, net.m1[gid])
             gaps.append(abs(meas - claim))
 
     try:
@@ -188,11 +188,11 @@ def group_check(
             deviation=float("inf"),
             degenerate=True,
         )
-    deviation = max([true_distance(fix.position, stored)] + gaps)
+    deviation = max([true_distance(fix, stored)] + gaps)
     return GroupCheckResult(
         group_id=group.id,
         passed=deviation <= epsilon,
-        observed=fix.position,
+        observed=fix,
         deviation=deviation,
     )
 
@@ -226,7 +226,7 @@ def isolate_suspects(
         fix = trilaterate(v_anchor_pts, ranges)
         # Behavior model, not detector knowledge: an honest node relays
         # the fresh fix, a compromised one re-asserts its false claim.
-        observed = node.reported_pos if node.compromised else fix.position
+        observed = node.reported_pos if node.compromised else fix
         reference = cross_reference(net, member_id, verifier_group_id)
         deviation = true_distance(observed, reference)
         if deviation > epsilon:
@@ -236,7 +236,7 @@ def isolate_suspects(
                     group_id=failed_group_id,
                     verifier_group_id=verifier_group_id,
                     observed_pos=observed,
-                    localized_pos=fix.position,
+                    localized_pos=fix,
                     reference_pos=reference,
                     deviation=deviation,
                 )

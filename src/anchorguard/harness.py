@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import AttackSpec, InvalidSpec, UniformRadial, compromise
+from .attack import AttackSpec, GroundTruth, InvalidSpec, UniformRadial, compromise
 from .deployment import DeploymentFailure, Network, deploy
 from .detection import (
     DetectionReport,
@@ -368,6 +368,25 @@ def _deployment(cfg: ScenarioConfig, trial_index: int) -> Network:
     return deploy((cfg.area_w, cfg.area_h), cfg.n_nodes, deploy_rng, cfg.comm_radius)
 
 
+def attacked_network(
+    cfg: ScenarioConfig,
+    trial_index: int,
+    n_malicious: int,
+    attack_rng: np.random.Generator,
+) -> tuple[Network, GroundTruth]:
+    """The trial's network with ``n_malicious`` anchors compromised.
+
+    ``attack_rng`` is the trial's attack stream from ``trial_streams``;
+    the caller passes it in because it derives the other streams from
+    the same call.
+    """
+    attack = AttackSpec(
+        count=n_malicious,
+        displacement=UniformRadial(cfg.displacement_min, cfg.displacement_max),
+    )
+    return compromise(_deployment(cfg, trial_index), attack, attack_rng)
+
+
 def run_trial(
     cfg: ScenarioConfig, trial_index: int, n_malicious: int | None = None
 ) -> list[MetricsRecord]:
@@ -385,13 +404,7 @@ def run_trial(
     model = RangingModel(cfg.ranging, cfg.sigma)
     epsilon = cfg.resolved_epsilon()
 
-    net = _deployment(cfg, trial_index)
-    attack = AttackSpec(
-        count=n_mal,
-        displacement=UniformRadial(cfg.displacement_min, cfg.displacement_max),
-    )
-    net, truth = compromise(net, attack, attack_rng)
-
+    net, truth = attacked_network(cfg, trial_index, n_mal, attack_rng)
     report = run_detection(net, epsilon, model, detect_rng)
 
     confirm_start = time.perf_counter()

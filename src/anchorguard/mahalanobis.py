@@ -2,9 +2,15 @@
 
 The detector's suspects get a second, statistical opinion: build a
 covariance from reference positions, then measure how many standard
-deviations a suspect's observed position sits from the centroid.  With
-a chi-square cutoff the false-confirmation rate of an honest suspect
-is held near a chosen significance level.
+deviations a suspect's observed position sits from the centroid.
+
+The chi-square cutoff at significance ``alpha`` bounds one thing: the
+rate at which a fresh honest fix, scored against a cloud of its own, is
+confirmed, and only for large clouds.  The cloud's covariance is itself
+estimated, so smaller clouds confirm more: ~5.8% at the default 64
+samples for ``alpha`` 0.05, and more below that.  It does not bound
+honest suspects, which were picked because their fix strayed past
+epsilon and so are confirmed more often than fresh fixes.
 
 Everything here is closed form.  For a symmetric 2x2 matrix
 

@@ -1,7 +1,5 @@
 """Shared fixtures: hand-placed networks and one deployed network."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from anchorguard.deployment import (
     AnchorGroup,
     AnchorNode,
     Network,
-    ReferenceTable,
     build_references,
     deploy,
 )
@@ -28,20 +25,19 @@ def hand_network(groups_pts, comm_radius=150.0, area=(300.0, 300.0)):
     for gid, (pts, center) in enumerate(groups_pts):
         ids = []
         for p in pts:
-            nodes.append(AnchorNode(id=nid, true_pos=p, reported_pos=p, group_id=gid))
+            nodes.append(AnchorNode(id=nid, true_pos=p, reported_pos=p))
             ids.append(nid)
             nid += 1
         groups.append(
             AnchorGroup(id=gid, member_ids=tuple(ids), trilateration_point=center)
         )
-    skeleton = Network(
+    return Network(
         area=area,
         comm_radius=comm_radius,
         nodes=tuple(nodes),
         groups=tuple(groups),
-        references=ReferenceTable(),
+        m1=build_references(nodes, groups),
     )
-    return replace(skeleton, references=build_references(skeleton))
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 from anchorguard.attack import AttackSpec, UniformRadial, compromise
 from anchorguard.deployment import deploy
 from anchorguard.detection import run_detection
-from anchorguard.geometry import DegenerateGeometry, Point2, solve_canonical, trilaterate
+from anchorguard.geometry import DegenerateGeometry, Point2, frame_xy, trilaterate
 from anchorguard.harness import (
     METHOD_MAHALANOBIS,
     METHOD_TRILATERATION,
@@ -73,7 +73,7 @@ def test_criterion_1_round_trip():
             continue
         target = Point2(rng.uniform(0, 600), rng.uniform(0, 600))
         fix = trilaterate(pts, [true_distance(target, p) for p in pts])
-        worst = max(worst, true_distance(fix.position, target))
+        worst = max(worst, true_distance(fix, target))
         done += 1
     elapsed = time.perf_counter() - start
     verdict(
@@ -125,13 +125,13 @@ def test_criterion_2_closed_form_oracle():
         r1 = math.hypot(target.x, target.y)
         r2 = math.hypot(target.x - d, target.y)
         r3 = math.hypot(target.x - i, target.y - j)
-        fix = solve_canonical(d, i, j, r1, r2, r3)
+        fix = Point2(*frame_xy(d, i, j, r1, r2, r3))
         direct = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
         worst_first = max(
-            worst_first, abs(fix.position.x - direct) / max(abs(direct), 1e-30)
+            worst_first, abs(fix.x - direct) / max(abs(direct), 1e-30)
         )
         crossing = _two_circle_intersection(d, i, j, r1, r2, r3)
-        worst_second = max(worst_second, true_distance(fix.position, crossing))
+        worst_second = max(worst_second, true_distance(fix, crossing))
         done += 1
     verdict(
         2,

@@ -23,7 +23,6 @@ def test_zero_count_is_noop(deployed_net):
     net, truth = compromise(deployed_net, AttackSpec(count=0), np.random.default_rng(0))
     assert net.nodes == deployed_net.nodes
     assert truth.malicious_ids == frozenset()
-    assert truth.original_positions == {}
 
 
 def test_specific_id_fixed_offset(deployed_net):
@@ -93,13 +92,6 @@ def test_fixed_offset_off_area_rejected():
     )
     with pytest.raises(InvalidSpec):
         compromise(net, spec, np.random.default_rng(0))
-
-
-def test_original_positions_recorded(deployed_net):
-    spec = AttackSpec(count=5)
-    net, truth = compromise(deployed_net, spec, np.random.default_rng(2))
-    for nid in truth.malicious_ids:
-        assert truth.original_positions[nid] == deployed_net.node(nid).reported_pos
 
 
 @pytest.mark.parametrize(

@@ -185,8 +185,36 @@ def _with_last_group_members(lines, members):
         (lambda lines: _with_last_group_members(lines, "0 1"), "fewer than three members"),
         # The last group line relabelled as group 0.
         (lambda lines: lines[:-1] + ["0," + lines[-1].partition(",")[2]], "duplicate group id 0"),
+        (lambda lines: lines[:2] + ["comm_radius=0.0"] + lines[3:], "comm_radius must be > 0"),
+        (lambda lines: lines[:2] + ["comm_radius=-5.0"] + lines[3:], "comm_radius must be > 0"),
+        (lambda lines: ["area_w=-600.0"] + lines[1:], "area must be positive"),
+        # Node 0 belongs to group 0; its column claims group 1.
+        (
+            lambda lines: lines[:6] + [_with_field(lines[6], ",", 5, "1")] + lines[7:],
+            "node 0 has group_id 1 but is listed by group 0",
+        ),
+        (
+            lambda lines: lines[:-1] + [lines[-1].replace(";", " 0;", 1)],
+            "node 0 is listed by groups 0 and 2",
+        ),
+        # Group 0's line lists the founding nodes `0 1 2 3`; node 3 is dropped.
+        (
+            lambda lines: [ln.replace("0,0 1 2 3;", "0,0 1 2;") for ln in lines],
+            "node 3 is listed by no group",
+        ),
     ],
-    ids=["duplicate-id", "unknown-member", "short-group", "duplicate-group-id"],
+    ids=[
+        "duplicate-id",
+        "unknown-member",
+        "short-group",
+        "duplicate-group-id",
+        "zero-radius",
+        "negative-radius",
+        "negative-area",
+        "group-column",
+        "two-groups",
+        "no-group",
+    ],
 )
 def test_detect_rejects_inconsistent_fixture(scenario_file, tmp_path, capsys, mangle, message):
     fixture = tmp_path / "net.txt"

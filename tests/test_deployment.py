@@ -245,10 +245,10 @@ def test_unknown_group_lookup(deployed_net):
 
 def test_reference_tables_exact_on_honest_network(deployed_net):
     """Noise-free references reproduce the construction geometry."""
-    refs = deployed_net.references
-    assert set(refs.m1) == {g.id for g in deployed_net.groups}
+    m1 = deployed_net.m1
+    assert set(m1) == {g.id for g in deployed_net.groups}
     for g in deployed_net.groups:
-        assert true_distance(refs.m1[g.id], g.trilateration_point) < 1e-9
+        assert true_distance(m1[g.id], g.trilateration_point) < 1e-9
         for other in neighbor_groups(deployed_net, g.id):
             for node_id in g.member_ids:
                 pos = cross_reference(deployed_net, node_id, other)
@@ -258,7 +258,7 @@ def test_reference_tables_exact_on_honest_network(deployed_net):
 def test_toy_reference_table_counts(two_group_net):
     # Two adjacent groups of three: one m1 row each, and each anchor
     # has one cross reference through the single neighbor group.
-    assert len(two_group_net.references.m1) == 2
+    assert len(two_group_net.m1) == 2
     for gid in (0, 1):
         assert neighbor_groups(two_group_net, gid) == [1 - gid]
         for nid in two_group_net.group(gid).member_ids:
@@ -424,7 +424,7 @@ def test_serialize_parse_round_trip(deployed_net):
     assert back.groups == deployed_net.groups
     assert back.area == deployed_net.area
     assert back.comm_radius == deployed_net.comm_radius
-    assert back.references == deployed_net.references
+    assert back.m1 == deployed_net.m1
     for g in deployed_net.groups:
         for other in neighbor_groups(deployed_net, g.id):
             for nid in g.member_ids:

@@ -38,7 +38,7 @@ def test_clean_group_passes(two_group_net):
     assert res.passed
     assert not res.degenerate
     assert res.deviation < 1e-9
-    assert true_distance(res.observed, two_group_net.references.m1[0]) < 1e-9
+    assert true_distance(res.observed, two_group_net.m1[0]) < 1e-9
 
 
 def test_displaced_member_fails_group(two_group_net):
@@ -280,7 +280,7 @@ def _scalar_cloud(net, reference, verifier_group_id, model, rng, samples):
     for _ in range(samples):
         ranges = [measure(true_distance(p, reference), model, rng) for p in v_pts]
         ranges_seen.extend(ranges)
-        cloud.append(trilaterate(v_pts, ranges).position)
+        cloud.append(trilaterate(v_pts, ranges))
     return cloud, ranges_seen
 
 

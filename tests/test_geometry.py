@@ -8,7 +8,7 @@ import pytest
 from anchorguard.geometry import (
     DegenerateGeometry,
     Point2,
-    solve_canonical,
+    frame_xy,
     to_canonical,
     trilaterate,
 )
@@ -35,13 +35,11 @@ def test_canonical_frame_translation_only():
 
 def test_canonical_frame_keeps_orientation_sign():
     # Mirrored triple: the third anchor sits clockwise of the baseline,
-    # so j must come out negative for the round trip to be rigid.
+    # so j must come out negative for the map back to world to be rigid.
     f = to_canonical(Point2(0, 0), Point2(0, 10), Point2(10, 0))
     assert f.d == pytest.approx(10.0, abs=1e-12)
     assert f.j == pytest.approx(-10.0, abs=1e-12)
-    p = Point2(3.0, 4.0)
-    back = f.to_world(f.to_frame(p))
-    assert (back.x, back.y) == pytest.approx((p.x, p.y), abs=1e-12)
+    assert f.world_xy(f.i, f.j) == pytest.approx((10.0, 0.0), abs=1e-12)
 
 
 def test_canonical_frame_round_trips_random_points():
@@ -52,14 +50,10 @@ def test_canonical_frame_round_trips_random_points():
             f = to_canonical(*pts)
         except DegenerateGeometry:
             continue
-        p = Point2(rng.uniform(-50, 650), rng.uniform(-50, 650))
-        back = f.to_world(f.to_frame(p))
-        assert math.hypot(back.x - p.x, back.y - p.y) < 1e-9
-        # The frame puts anchor 1 at the origin and anchor 2 at (d, 0).
-        a1 = f.to_frame(pts[0])
-        a2 = f.to_frame(pts[1])
-        assert math.hypot(a1.x, a1.y) < 1e-9
-        assert abs(a2.x - f.d) < 1e-9 and abs(a2.y) < 1e-9
+        # The frame puts the anchors at (0, 0), (d, 0) and (i, j).
+        for (x, y), p in zip([(0.0, 0.0), (f.d, 0.0), (f.i, f.j)], pts):
+            wx, wy = f.world_xy(x, y)
+            assert math.hypot(wx - p.x, wy - p.y) < 1e-9
 
 
 def test_collinear_within_tolerance_rejected():
@@ -73,67 +67,54 @@ def test_coincident_anchors_rejected():
 
 
 def test_solve_target_on_first_anchor():
-    fix = solve_canonical(10.0, 0.0, 10.0, 0.0, 10.0, 10.0)
-    assert fix.position.x == pytest.approx(0.0, abs=1e-12)
-    assert fix.position.y == pytest.approx(0.0, abs=1e-12)
-    assert fix.a3_residual == 0.0
+    x, y = frame_xy(10.0, 0.0, 10.0, 0.0, 10.0, 10.0)
+    assert x == pytest.approx(0.0, abs=1e-12)
+    assert y == pytest.approx(0.0, abs=1e-12)
 
 
 def test_solve_consistent_ranges():
     # Ranges generated from the ground-truth point (3, 4).
-    fix = solve_canonical(10.0, 0.0, 10.0, 5.0, SQRT65, SQRT45)
-    assert fix.position.x == pytest.approx(3.0, abs=1e-12)
-    assert fix.position.y == pytest.approx(4.0, abs=1e-12)
-    assert fix.radicand == pytest.approx(0.0, abs=1e-12)
-    assert fix.a3_residual == pytest.approx(0.0, abs=1e-7)
+    x, y = frame_xy(10.0, 0.0, 10.0, 5.0, SQRT65, SQRT45)
+    assert x == pytest.approx(3.0, abs=1e-12)
+    assert y == pytest.approx(4.0, abs=1e-12)
 
 
 def test_solve_inflated_first_range_lifts_fix_out_of_plane():
-    # Growing only r1 to 6 leaves a positive radicand: hand evaluation
-    # gives x = 71/20, y = 91/20, radicand = 36 - x^2 - y^2 = 2.695.
-    fix = solve_canonical(10.0, 0.0, 10.0, 6.0, SQRT65, SQRT45)
-    assert fix.position.x == pytest.approx(3.55, abs=1e-12)
-    assert fix.position.y == pytest.approx(4.55, abs=1e-12)
-    assert fix.radicand == pytest.approx(2.695, abs=1e-12)
-    assert fix.a3_residual == pytest.approx(math.sqrt(2.695), abs=1e-12)
+    # Growing only r1 to 6 moves the planar fix to the hand-evaluated
+    # x = 71/20, y = 91/20, which no longer lies on the first circle.
+    x, y = frame_xy(10.0, 0.0, 10.0, 6.0, SQRT65, SQRT45)
+    assert x == pytest.approx(3.55, abs=1e-12)
+    assert y == pytest.approx(4.55, abs=1e-12)
 
 
 def test_solve_shrunk_first_range_clamps_residual():
-    # Shrinking r1 to 4 drives the radicand negative; the residual must
-    # clamp to zero instead of taking a complex root.  Hand evaluation:
-    # x = 51/20, y = 71/20, radicand = 16 - x^2 - y^2 = -3.105.
-    fix = solve_canonical(10.0, 0.0, 10.0, 4.0, SQRT65, SQRT45)
-    assert fix.position.x == pytest.approx(2.55, abs=1e-12)
-    assert fix.position.y == pytest.approx(3.55, abs=1e-12)
-    assert fix.radicand == pytest.approx(-3.105, abs=1e-12)
-    assert fix.a3_residual == 0.0
-
-
-def test_solve_rejects_flat_frame():
-    with pytest.raises(DegenerateGeometry):
-        solve_canonical(10.0, 5.0, 0.0, 3.0, 4.0, 5.0)
+    # Shrinking r1 to 4 moves the planar fix to the hand-evaluated
+    # x = 51/20, y = 71/20, outside the first circle.
+    x, y = frame_xy(10.0, 0.0, 10.0, 4.0, SQRT65, SQRT45)
+    assert x == pytest.approx(2.55, abs=1e-12)
+    assert y == pytest.approx(3.55, abs=1e-12)
 
 
 def test_trilaterate_world_coordinates():
     fix = trilaterate(
         [Point2(0, 0), Point2(10, 0), Point2(0, 10)], [5.0, SQRT65, SQRT45]
     )
-    assert fix.position.x == pytest.approx(3.0, abs=1e-9)
-    assert fix.position.y == pytest.approx(4.0, abs=1e-9)
+    assert fix.x == pytest.approx(3.0, abs=1e-9)
+    assert fix.y == pytest.approx(4.0, abs=1e-9)
 
 
 def test_trilaterate_translation_invariance():
     fix = trilaterate(
         [Point2(100, 100), Point2(110, 100), Point2(100, 110)], [5.0, SQRT65, SQRT45]
     )
-    assert fix.position.x == pytest.approx(103.0, abs=1e-9)
-    assert fix.position.y == pytest.approx(104.0, abs=1e-9)
+    assert fix.x == pytest.approx(103.0, abs=1e-9)
+    assert fix.y == pytest.approx(104.0, abs=1e-9)
 
 
 def test_trilaterate_target_on_anchor():
     fix = trilaterate([Point2(0, 0), Point2(10, 0), Point2(0, 10)], [0.0, 10.0, 10.0])
-    assert fix.position.x == pytest.approx(0.0, abs=1e-9)
-    assert fix.position.y == pytest.approx(0.0, abs=1e-9)
+    assert fix.x == pytest.approx(0.0, abs=1e-9)
+    assert fix.y == pytest.approx(0.0, abs=1e-9)
 
 
 def test_trilaterate_rotation_invariance():
@@ -153,5 +134,5 @@ def test_trilaterate_rotation_invariance():
             [rot(p) for p in pts],
             [math.hypot(t.x - p.x, t.y - p.y) for p in pts],
         )
-        expect = rot(base.position)
-        assert math.hypot(turned.position.x - expect.x, turned.position.y - expect.y) < 1e-8
+        expect = rot(base)
+        assert math.hypot(turned.x - expect.x, turned.y - expect.y) < 1e-8
