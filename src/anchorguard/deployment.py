@@ -7,7 +7,8 @@ point, so that point hosts a physical radio.  Every later triple is
 placed around an already deployed node: that node's position becomes
 the new group's trilateration point, again guaranteeing a radio at the
 center.  Placement keeps repeating until the target count is reached;
-one or two leftover anchors are attached to their nearest group.
+one or two leftover anchors are attached to their nearest group.  A
+pass that runs out of attempts starts over, a bounded number of times.
 
 Each placement attempt draws its offsets' radii and angles as one block
 (``_annulus_offsets``), with numpy's own ``uniform`` formula applied in
@@ -76,6 +77,11 @@ CROWDING_RADIUS = 80.0
 # re-picks it even though no triple fits around it.  Past this share of
 # the budget, seed choice falls back to uniform over eligible hosts.
 FRONTIER_ATTEMPTS = 2_000
+
+# Nor can uniform choice rescue a layout whose every eligible host sits
+# against one border.  A pass that runs out of attempts starts over, on
+# the same stream, this many times; a first pass that succeeds is final.
+PLACEMENT_RESTARTS = 3
 
 DEFAULT_COMM_RADIUS = 150.0
 
@@ -324,8 +330,9 @@ def _triple_around(
     separation limits.
     """
     offsets = _annulus_offsets(rng, 3, GROUP_RADIUS_MIN, GROUP_RADIUS_MAX)
-    mx = sum(o[0] for o in offsets) / 3.0
-    my = sum(o[1] for o in offsets) / 3.0
+    (ax, ay), (bx, by), (cx, cy) = offsets
+    mx = (ax + bx + cx) / 3.0  # not sum(): it compensates from Python 3.12 on
+    my = (ay + by + cy) / 3.0
     pts = [(center[0] + ox - mx, center[1] + oy - my) for ox, oy in offsets]
     if not all(_in_area(x, y, area) for x, y in pts):
         return None
@@ -336,34 +343,12 @@ def _triple_around(
     return pts
 
 
-def deploy(
-    area: tuple[float, float],
-    target_count: int,
-    rng: np.random.Generator,
-    comm_radius: float = DEFAULT_COMM_RADIUS,
-) -> Network:
-    """Place ``target_count`` anchors in ``area`` and build references.
-
-    Args:
-        area: Deployment rectangle (width, height) in meters, anchored
-            at the origin.
-        target_count: Total anchors to place; at least 4 so the initial
-            trilateration point can host a node.
-        rng: Source of randomness; placement is a pure function of it.
-        comm_radius: Group adjacency radius used for neighbor groups.
-
-    Raises:
-        DeploymentFailure: when a constraint cannot be met within the
-            per-group attempt budget.
-    """
-    if target_count < 4:
-        raise DeploymentFailure(f"need at least 4 anchors, got {target_count}")
-    if area[0] <= 0.0 or area[1] <= 0.0:
-        raise DeploymentFailure(f"area must be positive, got {area}")
-    span = FIRST_SPACING_MAX + GROUP_RADIUS_MAX
-    if area[0] < span and area[1] < span:
-        raise DeploymentFailure(f"area {area} is too small for group placement")
-
+def _place(
+    area: tuple[float, float], target_count: int, rng: np.random.Generator
+) -> tuple[list[tuple[float, float]], list[tuple[int, list[int], tuple[float, float]]]]:
+    """One placement pass: the node positions, and per group its id,
+    member ids and center.  Raises DeploymentFailure when a group or a
+    leftover anchor exhausts its attempt budget."""
     positions: list[tuple[float, float]] = []
     groups: list[tuple[int, list[int], tuple[float, float]]] = []
     placed = _Grid(MIN_NODE_SEPARATION)
@@ -437,6 +422,46 @@ def deploy(
         )
         nearest[1].append(len(positions))
         place(spot)
+
+    return positions, groups
+
+
+def deploy(
+    area: tuple[float, float],
+    target_count: int,
+    rng: np.random.Generator,
+    comm_radius: float = DEFAULT_COMM_RADIUS,
+) -> Network:
+    """Place ``target_count`` anchors in ``area`` and build references.
+
+    Args:
+        area: Deployment rectangle (width, height) in meters, anchored
+            at the origin.
+        target_count: Total anchors to place; at least 4 so the initial
+            trilateration point can host a node.
+        rng: Source of randomness; placement is a pure function of it.
+        comm_radius: Group adjacency radius used for neighbor groups.
+
+    Raises:
+        DeploymentFailure: when the area or count is unusable, or when
+            every one of the ``1 + PLACEMENT_RESTARTS`` placement passes
+            exhausts an attempt budget.
+    """
+    if target_count < 4:
+        raise DeploymentFailure(f"need at least 4 anchors, got {target_count}")
+    if area[0] <= 0.0 or area[1] <= 0.0:
+        raise DeploymentFailure(f"area must be positive, got {area}")
+    span = FIRST_SPACING_MAX + GROUP_RADIUS_MAX
+    if area[0] < span and area[1] < span:
+        raise DeploymentFailure(f"area {area} is too small for group placement")
+
+    for restart in range(PLACEMENT_RESTARTS + 1):
+        try:
+            positions, groups = _place(area, target_count, rng)
+            break
+        except DeploymentFailure:
+            if restart == PLACEMENT_RESTARTS:
+                raise
 
     nodes = tuple(
         AnchorNode(id=idx, true_pos=Point2(x, y), reported_pos=Point2(x, y))

@@ -27,7 +27,8 @@ Both stages find neighbor groups through ``neighbor_groups``, whose
 lists a network builds once for all its groups.  Confirmation's
 ``relocalization_cloud`` replays a suspect's re-localization as one
 batch: one block of noise draws, taken from the stream in the order the
-scalar replay would take them, and the closed-form solve on arrays.
+scalar replay would take them, and the closed-form solve on arrays,
+whose ``(xs, ys)`` result ``mahalanobis.confirm_outliers`` scores as is.
 """
 
 from __future__ import annotations
@@ -299,15 +300,16 @@ def relocalization_cloud(
     model: RangingModel,
     rng: np.random.Generator,
     samples: int = 64,
-) -> list[Point2]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Simulated re-fixes of an anchor's cross reference position.
 
     The central server knows the verifier group's initial positions,
     the anchor's cross reference through that group (a suspect's
     ``reference_pos``), and the ranging noise model, so it can replay
     the re-localization ``samples`` times to see how far measurement
-    noise alone scatters an honest answer.  The resulting cloud is the
-    reference set for Mahalanobis confirmation.
+    noise alone scatters an honest answer.  The resulting cloud, as
+    ``(xs, ys)`` world-coordinate arrays of length ``samples``, is the
+    suspect's reference set for ``confirm_outliers``.
 
     The replay is batched: the verifier frame and the three true
     distances are computed once, the noise for all ``samples x 3``
@@ -322,6 +324,4 @@ def relocalization_cloud(
         [true_distance(p, reference) for p in v_pts], model, rng, samples
     )
     x, y = frame_xy(frame.d, frame.i, frame.j, *ranges.T)
-    wx, wy = frame.world_xy(x, y)
-    return [Point2(px, py) for px, py in zip(wx.tolist(), wy.tolist())]
-
+    return frame.world_xy(x, y)

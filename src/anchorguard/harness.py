@@ -47,12 +47,7 @@ from .detection import (
     relocalization_cloud,
     run_detection,
 )
-from .mahalanobis import (
-    InsufficientData,
-    SingularCovariance,
-    chi_square_cutoff,
-    confirm_outliers,
-)
+from .mahalanobis import chi_square_cutoff, confirm_outliers
 from .ranging import _KINDS, RangingModel, true_distance
 
 METHOD_TRILATERATION = "trilateration_only"
@@ -300,33 +295,13 @@ def _precision_recall(
     return precision, recall
 
 
-def _confirm_suspects(
-    net: Network,
-    report: DetectionReport,
-    model: RangingModel,
-    cutoff: float,
-    cloud_samples: int,
-    rng: np.random.Generator,
-) -> frozenset[int]:
-    """Second-opinion filter over the detector's suspects.
-
-    Each suspect is scored against a cloud of simulated honest re-fixes
-    of its own cross reference.  A degenerate cloud means the
-    references are unanimous (noise-free ranging); any suspect already
-    past epsilon is then confirmed outright.
-    """
-    confirmed = set()
-    for rec in report.suspects:
-        cloud = relocalization_cloud(
-            net, rec.reference_pos, rec.verifier_group_id, model, rng, cloud_samples
-        )
-        try:
-            scores = confirm_outliers([rec], cloud, rec.reference_pos, cutoff)
-            if scores[0].outlier:
-                confirmed.add(rec.anchor_id)
-        except (SingularCovariance, InsufficientData):
-            confirmed.add(rec.anchor_id)
-    return frozenset(confirmed)
+def _mean(values: list[float]) -> float:
+    """Left-to-right mean: built-in ``sum`` compensates float sums from
+    Python 3.12 on, and the CSV must not depend on the interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
 
 
 def _error_stats(
@@ -353,7 +328,7 @@ def _error_stats(
         errors.append(true_distance(node.reported_pos, node.true_pos))
     if not errors:
         return 0.0, 0.0
-    return sum(errors) / len(errors), max(errors)
+    return _mean(errors), max(errors)
 
 
 @functools.lru_cache(maxsize=1)
@@ -408,9 +383,14 @@ def run_trial(
     report = run_detection(net, epsilon, model, detect_rng)
 
     confirm_start = time.perf_counter()
-    confirmed = _confirm_suspects(
-        net, report, model, chi_square_cutoff(cfg.alpha), cfg.cloud_samples, confirm_rng
-    )
+    clouds = [
+        relocalization_cloud(
+            net, r.reference_pos, r.verifier_group_id, model, confirm_rng, cfg.cloud_samples
+        )
+        for r in report.suspects
+    ]
+    scores = confirm_outliers(report.suspects, clouds, chi_square_cutoff(cfg.alpha))
+    confirmed = frozenset(s.anchor_id for s in scores if s.outlier)
     confirm_ms = (time.perf_counter() - confirm_start) * 1e3
     # One pipeline serves both methods, so the timing column reports the
     # shared detection plus confirmation wall time on every row.
@@ -482,18 +462,17 @@ def run_sweep(cfg: ScenarioConfig) -> list[MetricsRecord]:
             rows = [r for r in point_rows if r.method == method]
             if not rows:
                 continue
-            n = len(rows)
             summaries.append(
                 MetricsRecord(
                     trial=SUMMARY_TRIAL,
                     seed=cfg.master_seed,
                     method=method,
                     n_malicious=n_mal,
-                    mean_error_m=sum(r.mean_error_m for r in rows) / n,
-                    max_error_m=sum(r.max_error_m for r in rows) / n,
-                    precision=sum(r.precision for r in rows) / n,
-                    recall=sum(r.recall for r in rows) / n,
-                    detect_ms=sum(r.detect_ms for r in rows) / n,
+                    mean_error_m=_mean([r.mean_error_m for r in rows]),
+                    max_error_m=_mean([r.max_error_m for r in rows]),
+                    precision=_mean([r.precision for r in rows]),
+                    recall=_mean([r.recall for r in rows]),
+                    detect_ms=_mean([r.detect_ms for r in rows]),
                 )
             )
     return [r for point_rows in data for r in point_rows] + summaries

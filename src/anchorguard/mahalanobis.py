@@ -1,16 +1,19 @@
 """Mahalanobis outlier confirmation over 2x2 covariances.
 
-The detector's suspects get a second, statistical opinion: build a
-covariance from reference positions, then measure how many standard
-deviations a suspect's observed position sits from the centroid.
+The detector's suspects get a second, statistical opinion: each one's
+cloud of honest re-fixes, as the ``(xs, ys)`` arrays that
+``relocalization_cloud`` solves, gives a covariance about the suspect's
+cross reference, and the suspect's observed position is scored by how
+many standard deviations it sits from that reference.
 
 The chi-square cutoff at significance ``alpha`` bounds one thing: the
-rate at which a fresh honest fix, scored against a cloud of its own, is
-confirmed, and only for large clouds.  The cloud's covariance is itself
-estimated, so smaller clouds confirm more: ~5.8% at the default 64
-samples for ``alpha`` 0.05, and more below that.  It does not bound
-honest suspects, which were picked because their fix strayed past
-epsilon and so are confirmed more often than fresh fixes.
+rate at which a fresh honest fix, scored against an n-sample cloud of
+its own about the known center, is confirmed, and only for large
+clouds.  The cloud's covariance is itself estimated, so that rate is
+exactly (1 + c^2/(n-1))^(-(n-1)/2) for cutoff c: 5.7% at the default
+64 samples for ``alpha`` 0.05, and more below that (11.5% at 8).  It
+does not bound honest suspects, which were picked because their fix
+strayed past epsilon and so are confirmed more often than fresh fixes.
 
 Everything here is closed form.  For a symmetric 2x2 matrix
 
@@ -29,6 +32,8 @@ from typing import TYPE_CHECKING, Sequence
 from .geometry import Point2
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .detection import SuspectRecord
 
 # Singularity guard: determinants at or below this scale-relative
@@ -60,32 +65,27 @@ class CovarianceMatrix2:
 
 @dataclass(frozen=True)
 class MahalanobisScore:
+    """One suspect's confirmation.  ``singular`` marks a cloud with no
+    spread, against which the suspect is an outlier at infinite distance."""
+
     anchor_id: int
     distance: float
     cutoff: float
     outlier: bool
+    singular: bool
 
 
-def centroid(points: Sequence[Point2]) -> Point2:
-    if not points:
-        raise InsufficientData("cannot take the centroid of no points")
-    n = float(len(points))
-    return Point2(sum(p.x for p in points) / n, sum(p.y for p in points) / n)
-
-
-def covariance(points: Sequence[Point2], center: Point2) -> CovarianceMatrix2:
-    """Sample covariance of ``points`` about an explicit center.
-
-    Uses the n-1 normalization.  Raises InsufficientData for fewer
-    than 3 points, below which the estimate is meaningless.
+def covariance(xs: np.ndarray, ys: np.ndarray, center: Point2) -> CovarianceMatrix2:
+    """Sample covariance (n-1 normalization) of the cloud ``(xs, ys)``
+    about an explicit center, summed left to right in point order, never
+    pairwise.  Raises InsufficientData for fewer than 3 points, below
+    which the estimate is meaningless.
     """
-    n = len(points)
+    n = len(xs)
     if n < 3:
         raise InsufficientData(f"need at least 3 reference points, got {n}")
     s11 = s22 = s12 = 0.0
-    for p in points:
-        dx = p.x - center.x
-        dy = p.y - center.y
+    for dx, dy in zip((xs - center.x).tolist(), (ys - center.y).tolist()):
         s11 += dx * dx
         s22 += dy * dy
         s12 += dx * dy
@@ -128,30 +128,23 @@ def chi_square_cutoff(alpha: float = 0.05) -> float:
 
 def confirm_outliers(
     suspects: Sequence["SuspectRecord"],
-    reference_positions: Sequence[Point2],
-    center: Point2,
+    clouds: Sequence[tuple[np.ndarray, np.ndarray]],
     cutoff: float,
 ) -> list[MahalanobisScore]:
-    """Score suspects against a reference cloud.
-
-    Builds the covariance of ``reference_positions`` about ``center``,
-    then flags every suspect whose observed position sits more than
-    ``cutoff`` Mahalanobis units out.  Scores are returned in suspect
-    order.
-
-    Raises:
-        InsufficientData: fewer than 3 reference positions.
-        SingularCovariance: reference cloud is degenerate (for example
-            all points identical, as happens with noise-free ranging).
+    """Score each suspect about its own ``reference_pos`` against its
+    own cloud, ``clouds`` being in suspect order, and return one score
+    per suspect in that order.  A singular cloud means the references
+    are unanimous (noise-free ranging); the suspect, already past
+    epsilon, is then an outlier outright, at infinite distance.
     """
-    cov = covariance(reference_positions, center)
-    inv = invert(cov)
     scores = []
-    for s in suspects:
+    for s, (xs, ys) in zip(suspects, clouds, strict=True):
+        center = s.reference_pos
+        try:
+            inv = invert(covariance(xs, ys, center))
+        except SingularCovariance:
+            scores.append(MahalanobisScore(s.anchor_id, math.inf, cutoff, True, True))
+            continue
         d = distance_to_centroid(s.observed_pos, center, inv)
-        scores.append(
-            MahalanobisScore(
-                anchor_id=s.anchor_id, distance=d, cutoff=cutoff, outlier=d > cutoff
-            )
-        )
+        scores.append(MahalanobisScore(s.anchor_id, d, cutoff, d > cutoff, False))
     return scores

@@ -1,5 +1,8 @@
 """Shared fixtures: hand-placed networks and one deployed network."""
 
+import builtins
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,25 @@ from anchorguard.deployment import (
     deploy,
 )
 from anchorguard.geometry import Point2
+
+
+def compensated_sum(iterable, /, start=0):
+    """Built-in ``sum`` as Python 3.12 and later compute it over floats:
+    Neumaier-compensated, the compensation added once at the end.  Patch
+    it over a module's ``sum`` to check that no pinned byte depends on
+    the interpreter's summation."""
+    items = list(iterable)
+    if not any(isinstance(x, float) for x in items):
+        return builtins.sum(items, start)
+    total, comp = float(start), 0.0
+    for x in map(float, items):
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
 
 
 def hand_network(groups_pts, comm_radius=150.0, area=(300.0, 300.0)):

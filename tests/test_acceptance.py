@@ -15,14 +15,13 @@ from scipy.optimize import brentq
 
 from anchorguard.attack import AttackSpec, UniformRadial, compromise
 from anchorguard.deployment import deploy
-from anchorguard.detection import run_detection
+from anchorguard.detection import relocalization_cloud, run_detection
 from anchorguard.geometry import DegenerateGeometry, Point2, frame_xy, trilaterate
 from anchorguard.harness import (
     METHOD_MAHALANOBIS,
     METHOD_TRILATERATION,
     SUMMARY_TRIAL,
     ScenarioConfig,
-    _confirm_suspects,
     emit_csv,
     run_sweep,
     trial_streams,
@@ -30,6 +29,7 @@ from anchorguard.harness import (
 from anchorguard.mahalanobis import (
     CovarianceMatrix2,
     chi_square_cutoff,
+    confirm_outliers,
     distance_to_centroid,
     invert,
 )
@@ -222,7 +222,14 @@ def test_criterion_5_zero_noise_detection():
         if report.groups_unresolved:
             violating.append(seed)
             continue
-        confirmed = _confirm_suspects(net, report, model, cutoff, 64, confirm_rng)
+        clouds = [
+            relocalization_cloud(
+                net, r.reference_pos, r.verifier_group_id, model, confirm_rng, 64
+            )
+            for r in report.suspects
+        ]
+        scores = confirm_outliers(report.suspects, clouds, cutoff)
+        confirmed = frozenset(s.anchor_id for s in scores if s.outlier)
         if report.flagged_ids != truth.malicious_ids or confirmed != truth.malicious_ids:
             imperfect.append(seed)
     verdict(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchorguard import deployment
 from anchorguard.attack import AttackSpec, FixedOffset, SpecificIds, compromise
 from anchorguard.deployment import (
     CROWDING_RADIUS,
@@ -35,7 +36,7 @@ from anchorguard.deployment import (
 )
 from anchorguard.geometry import DegenerateGeometry, Point2
 from anchorguard.ranging import true_distance
-from conftest import hand_network
+from conftest import compensated_sum, hand_network
 
 
 def test_field_scale_structure(deployed_net):
@@ -120,6 +121,14 @@ def test_placement_digest(area, n_nodes, seed):
     net = deploy((area, area), n_nodes, np.random.default_rng(seed))
     digest = hashlib.sha256(serialize_network(net).encode()).hexdigest()
     assert digest == PLACEMENT_DIGESTS[(area, n_nodes, seed)]
+
+
+@pytest.mark.parametrize("area, n_nodes, seed", sorted(PLACEMENT_DIGESTS))
+def test_placement_digest_under_compensated_sum(area, n_nodes, seed, monkeypatch):
+    """Python 3.12's ``sum`` compensates float sums; placement must not
+    move with the interpreter."""
+    monkeypatch.setattr(deployment, "sum", compensated_sum, raising=False)
+    test_placement_digest(area, n_nodes, seed)
 
 
 def _scalar_offset(rng, r_min, r_max):
@@ -236,6 +245,40 @@ def test_too_few_nodes_rejected():
 def test_impossible_area_rejected():
     with pytest.raises(DeploymentFailure):
         deploy((10.0, 10.0), 10, np.random.default_rng(0))
+
+
+# Trial-0 deploy streams of 600 m / 122-node scenarios (comm radius 70)
+# whose first placement pass leaves every eligible host against one
+# border, where no mean-centred triple fits.
+BORDER_DEADLOCK_SEEDS = [1456, 9527, 11679, 101650, 101833, 107793]
+
+
+@pytest.mark.parametrize("master_seed", BORDER_DEADLOCK_SEEDS)
+def test_border_deadlock_restarts_placement(master_seed, monkeypatch):
+    def deploy_stream():
+        return np.random.default_rng(np.random.SeedSequence([master_seed, 0]).spawn(1)[0])
+
+    net = deploy((600.0, 600.0), 122, deploy_stream(), 70.0)
+    assert len(net.nodes) == 122
+    monkeypatch.setattr(deployment, "PLACEMENT_RESTARTS", 0)
+    with pytest.raises(DeploymentFailure):
+        deploy((600.0, 600.0), 122, deploy_stream(), 70.0)
+
+
+def test_overfull_area_gives_up_after_restarts(monkeypatch):
+    passes = []
+    place = deployment._place
+
+    def counting(*args):
+        passes.append(args)
+        return place(*args)
+
+    monkeypatch.setattr(deployment, "_place", counting)
+    # A smaller budget only makes each doomed pass end sooner.
+    monkeypatch.setattr(deployment, "MAX_GROUP_ATTEMPTS", 300)
+    with pytest.raises(DeploymentFailure, match="exhausted attempts"):
+        deploy((140.0, 140.0), 150, np.random.default_rng(0))
+    assert len(passes) == deployment.PLACEMENT_RESTARTS + 1
 
 
 def test_unknown_group_lookup(deployed_net):

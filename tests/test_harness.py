@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from anchorguard import harness
+from anchorguard import deployment, harness
 from anchorguard.attack import AttackSpec, FixedOffset, SpecificIds, compromise
 from anchorguard.detection import SuspectRecord
 from anchorguard.geometry import Point2
@@ -28,6 +28,7 @@ from anchorguard.harness import (
     run_trial,
     trial_streams,
 )
+from conftest import compensated_sum
 
 FULL_DOC = """
 # attack-size sweep
@@ -433,3 +434,13 @@ def test_sweep_digest(name):
     text = emit_csv(run_sweep(cfg))
     stripped = "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
     assert hashlib.sha256(stripped.encode()).hexdigest() == expected
+
+
+def test_sweep_digests_under_compensated_sum(monkeypatch):
+    """Python 3.12's ``sum`` compensates float sums; neither placement
+    nor the error and summary means may move with the interpreter."""
+    for module in (deployment, harness):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    test_golden_sweep_digest()
+    for name in ("exact", "lognormal"):
+        test_sweep_digest(name)

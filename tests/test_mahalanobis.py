@@ -6,48 +6,44 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from anchorguard.detection import SuspectRecord
+from anchorguard.attack import AttackSpec, UniformRadial, compromise
+from anchorguard.deployment import deploy
+from anchorguard.detection import SuspectRecord, relocalization_cloud, run_detection
 from anchorguard.geometry import Point2
 from anchorguard.mahalanobis import (
     CovarianceMatrix2,
     InsufficientData,
     SingularCovariance,
-    centroid,
     chi_square_cutoff,
     confirm_outliers,
     covariance,
     distance_to_centroid,
     invert,
 )
+from anchorguard.ranging import RangingModel
 
 
-def suspect_at(p):
+def suspect_at(p, reference=Point2(0.0, 0.0), anchor_id=0):
     return SuspectRecord(
-        anchor_id=0,
+        anchor_id=anchor_id,
         group_id=0,
         verifier_group_id=1,
         observed_pos=p,
         localized_pos=p,
-        reference_pos=Point2(0.0, 0.0),
+        reference_pos=reference,
         deviation=0.0,
     )
 
 
-def test_centroid_average():
-    pts = [Point2(0, 0), Point2(4, 0), Point2(2, 6)]
-    assert centroid(pts) == Point2(2.0, 2.0)
-
-
-def test_centroid_empty_rejected():
-    with pytest.raises(InsufficientData):
-        centroid([])
+def cloud_of(points):
+    return np.array([p.x for p in points]), np.array([p.y for p in points])
 
 
 def test_covariance_hand_case():
     # Four unit points on the axes about the origin: each coordinate
     # sums squares to 2 over n-1 = 3 samples.
-    pts = [Point2(1, 0), Point2(0, 1), Point2(-1, 0), Point2(0, -1)]
-    cov = covariance(pts, Point2(0.0, 0.0))
+    xs, ys = cloud_of([Point2(1, 0), Point2(0, 1), Point2(-1, 0), Point2(0, -1)])
+    cov = covariance(xs, ys, Point2(0.0, 0.0))
     assert cov.s11 == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert cov.s22 == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert cov.s12 == 0.0
@@ -58,9 +54,7 @@ def test_covariance_matches_numpy():
     rng = np.random.default_rng(50)
     xs = rng.normal(0.0, 3.0, 40)
     ys = rng.normal(0.0, 1.5, 40) + 0.4 * xs
-    pts = [Point2(x, y) for x, y in zip(xs, ys)]
-    c = centroid(pts)
-    mine = covariance(pts, c)
+    mine = covariance(xs, ys, Point2(float(xs.mean()), float(ys.mean())))
     ref = np.cov(xs, ys, ddof=1)
     assert mine.s11 == pytest.approx(ref[0, 0], rel=1e-12)
     assert mine.s22 == pytest.approx(ref[1, 1], rel=1e-12)
@@ -68,21 +62,22 @@ def test_covariance_matches_numpy():
 
 
 def test_covariance_no_spread_is_zero_matrix():
-    pts = [Point2(3, 4)] * 5
-    cov = covariance(pts, Point2(3, 4))
+    xs, ys = cloud_of([Point2(3, 4)] * 5)
+    cov = covariance(xs, ys, Point2(3, 4))
     assert (cov.s11, cov.s22, cov.s12) == (0.0, 0.0, 0.0)
     assert cov.det == 0.0
 
 
 def test_covariance_needs_three_points():
+    xs, ys = cloud_of([Point2(0, 0), Point2(1, 1)])
     with pytest.raises(InsufficientData):
-        covariance([Point2(0, 0), Point2(1, 1)], Point2(0.5, 0.5))
+        covariance(xs, ys, Point2(0.5, 0.5))
 
 
 def test_covariance_isotropic_cloud_statistics():
     rng = np.random.default_rng(913)
-    pts = [Point2(*rng.normal(0.0, 1.0, 2)) for _ in range(1000)]
-    cov = covariance(pts, centroid(pts))
+    xs, ys = rng.normal(0.0, 1.0, (2, 1000))
+    cov = covariance(xs, ys, Point2(float(xs.mean()), float(ys.mean())))
     assert 0.9 <= cov.s11 <= 1.1
     assert 0.9 <= cov.s22 <= 1.1
     assert abs(cov.s12) < 0.1
@@ -167,10 +162,10 @@ def test_cutoff_rejects_bad_alpha(alpha):
 def test_suspect_at_centroid_not_outlier():
     rng = np.random.default_rng(30)
     center = Point2(50.0, 50.0)
-    cloud = [Point2(center.x + rng.normal(0, 2), center.y + rng.normal(0, 2)) for _ in range(64)]
-    score = confirm_outliers([suspect_at(center)], cloud, center, chi_square_cutoff(0.05))[0]
+    cloud = (center.x + rng.normal(0, 2, 64), center.y + rng.normal(0, 2, 64))
+    score = confirm_outliers([suspect_at(center, center)], [cloud], chi_square_cutoff(0.05))[0]
     assert score.distance == 0.0
-    assert not score.outlier
+    assert not score.outlier and not score.singular
 
 
 def test_large_displacement_confirmed():
@@ -178,12 +173,9 @@ def test_large_displacement_confirmed():
     # ten normalized units out, far past the 2.448 cutoff.
     rng = np.random.default_rng(914)
     center = Point2(100.0, 100.0)
-    cloud = [
-        Point2(center.x + rng.normal(0, 5.0), center.y + rng.normal(0, 5.0))
-        for _ in range(200)
-    ]
+    cloud = (center.x + rng.normal(0, 5.0, 200), center.y + rng.normal(0, 5.0, 200))
     score = confirm_outliers(
-        [suspect_at(Point2(150.0, 100.0))], cloud, center, chi_square_cutoff(0.05)
+        [suspect_at(Point2(150.0, 100.0), center)], [cloud], chi_square_cutoff(0.05)
     )[0]
     assert 8.0 < score.distance < 12.0
     assert score.outlier
@@ -193,20 +185,36 @@ def test_honest_suspect_rarely_confirmed():
     """Re-fix noise far smaller than the reference spread stays inside
     the cutoff in at least 95 percent of trials."""
     rng = np.random.default_rng(915)
-    cutoff = chi_square_cutoff(0.05)
-    center = Point2(0.0, 0.0)
-    kept = 0
+    suspects, clouds = [], []
     for _ in range(1000):
-        cloud = [Point2(rng.normal(0, 5.0), rng.normal(0, 5.0)) for _ in range(64)]
-        obs = Point2(rng.normal(0, 0.5), rng.normal(0, 0.5))
-        if not confirm_outliers([suspect_at(obs)], cloud, center, cutoff)[0].outlier:
-            kept += 1
-    assert kept >= 950
+        clouds.append(tuple(rng.normal(0, 5.0, (2, 64))))
+        suspects.append(suspect_at(Point2(*rng.normal(0, 0.5, 2))))
+    scores = confirm_outliers(suspects, clouds, chi_square_cutoff(0.05))
+    assert sum(1 for s in scores if not s.outlier) >= 950
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_fresh_fix_confirmation_rate(n):
+    """A fresh Gaussian fix scored against its own n-sample cloud about
+    the known center is confirmed at exactly (1 + c^2/(n-1))^(-(n-1)/2),
+    the tail of 2 F(2, n-1) past c^2, not at alpha."""
+    alpha, trials = 0.05, 20_000
+    cutoff = chi_square_cutoff(alpha)
+    rate = (1.0 + cutoff**2 / (n - 1)) ** (-(n - 1) / 2)
+    assert rate == pytest.approx(scipy.stats.f.sf(cutoff**2 / 2, 2, n - 1), rel=1e-12)
+    rng = np.random.default_rng(916 + n)
+    clouds = rng.normal(0.0, 1.0, (trials, 2, n))
+    fixes = rng.normal(0.0, 1.0, (trials, 2)).tolist()
+    scores = confirm_outliers(
+        [suspect_at(Point2(x, y)) for x, y in fixes], [(c[0], c[1]) for c in clouds], cutoff
+    )
+    seen = sum(1 for s in scores if s.outlier) / trials
+    assert abs(seen - rate) <= 4.0 * math.sqrt(rate * (1.0 - rate) / trials)
 
 
 def test_confirm_outliers_preserves_order_and_ids():
     rng = np.random.default_rng(31)
-    cloud = [Point2(rng.normal(0, 1), rng.normal(0, 1)) for _ in range(32)]
+    clouds = [tuple(rng.normal(0, 1, (2, 32))) for _ in range(2)]
     suspects = [
         SuspectRecord(
             anchor_id=9, group_id=0, verifier_group_id=1,
@@ -215,17 +223,91 @@ def test_confirm_outliers_preserves_order_and_ids():
         ),
         suspect_at(Point2(0.1, 0.1)),
     ]
-    scores = confirm_outliers(suspects, cloud, Point2(0, 0), chi_square_cutoff(0.05))
+    scores = confirm_outliers(suspects, clouds, chi_square_cutoff(0.05))
     assert [s.anchor_id for s in scores] == [9, 0]
     assert scores[0].outlier and not scores[1].outlier
 
 
+def test_confirm_outliers_scores_each_suspect_about_its_own_reference():
+    # Two suspects at the same observed position: one sits on its own
+    # reference, the other 30 units from its.
+    rng = np.random.default_rng(32)
+    spread = rng.normal(0, 1, (2, 64))
+    near, far = Point2(10.0, 10.0), Point2(40.0, 10.0)
+    clouds = [(spread[0] + near.x, spread[1] + near.y), (spread[0] + far.x, spread[1] + far.y)]
+    suspects = [suspect_at(near, near, anchor_id=1), suspect_at(near, far, anchor_id=2)]
+    first, second = confirm_outliers(suspects, clouds, chi_square_cutoff(0.05))
+    assert first.distance == 0.0 and not first.outlier
+    assert second.distance > 20.0 and second.outlier
+
+
 def test_confirm_outliers_degenerate_reference_cloud():
-    with pytest.raises(SingularCovariance):
-        confirm_outliers(
-            [suspect_at(Point2(1, 1))], [Point2(0, 0)] * 10, Point2(0, 0), 2.448
-        )
+    # Noise-free ranging gives a cloud of one repeated point: the
+    # suspect is confirmed outright and the record says why.
+    (score,) = confirm_outliers(
+        [suspect_at(Point2(1, 1))], [cloud_of([Point2(0, 0)] * 10)], 2.448
+    )
+    assert (score.outlier, score.singular, score.distance) == (True, True, math.inf)
+    assert score.cutoff == 2.448
     with pytest.raises(InsufficientData):
         confirm_outliers(
-            [suspect_at(Point2(1, 1))], [Point2(0, 0), Point2(1, 0)], Point2(0, 0), 2.448
+            [suspect_at(Point2(1, 1))], [cloud_of([Point2(0, 0), Point2(1, 0)])], 2.448
         )
+
+
+def _scalar_score(rec, cloud, cutoff):
+    """Covariance over a ``Point2`` cloud, summed in point order, then
+    the closed-form inverse and distance: the scalar reference that
+    ``confirm_outliers`` must match bit for bit."""
+    center = rec.reference_pos
+    s11 = s22 = s12 = 0.0
+    for p in cloud:
+        dx = p.x - center.x
+        dy = p.y - center.y
+        s11 += dx * dx
+        s22 += dy * dy
+        s12 += dx * dy
+    norm = 1.0 / (len(cloud) - 1)
+    try:
+        inv = invert(CovarianceMatrix2(s11 * norm, s22 * norm, s12 * norm))
+    except SingularCovariance:
+        return math.inf, True, True
+    d = distance_to_centroid(rec.observed_pos, center, inv)
+    return d, d > cutoff, False
+
+
+@pytest.mark.parametrize(
+    "model",
+    [RangingModel.exact(), RangingModel.gaussian(0.5), RangingModel.lognormal(0.01)],
+    ids=["exact", "gaussian", "lognormal"],
+)
+def test_confirm_outliers_matches_scalar_reference(model):
+    cutoff = chi_square_cutoff(0.05)
+    epsilon = max(1.0, 10.0 * model.sigma)
+    seen = []
+    for seed in range(4):
+        root = np.random.SeedSequence([seed, 21])
+        deploy_rng, attack_rng, detect_rng, confirm_rng = (
+            np.random.default_rng(c) for c in root.spawn(4)
+        )
+        net = deploy((600.0, 600.0), 122, deploy_rng, 70.0)
+        net, _ = compromise(
+            net, AttackSpec(count=12, displacement=UniformRadial(20.0, 60.0)), attack_rng
+        )
+        report = run_detection(net, epsilon, model, detect_rng)
+        clouds = [
+            relocalization_cloud(
+                net, r.reference_pos, r.verifier_group_id, model, confirm_rng, 64
+            )
+            for r in report.suspects
+        ]
+        scores = confirm_outliers(report.suspects, clouds, cutoff)
+        for rec, (xs, ys), score in zip(report.suspects, clouds, scores, strict=True):
+            points = [Point2(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+            expected = _scalar_score(rec, points, cutoff)
+            assert (score.distance, score.outlier, score.singular) == expected
+            assert (score.anchor_id, score.cutoff) == (rec.anchor_id, cutoff)
+            seen.append(score.singular)
+    assert seen
+    # Noise-free ranging collapses every cloud; noisy ranging never does.
+    assert all(seen) if model.kind == "exact" else not any(seen)
